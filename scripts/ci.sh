@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verify: a lint gate plus four build/test legs.
+# Tier-1 verify: a lint gate plus four build/test legs, on a clean export.
 #   0. Lint      — scripts/lint.sh: snnmap-lint determinism/contract rules
 #                  (always), clang-tidy + clang-format when the toolchain
 #                  has them (each skipped with a notice otherwise).
@@ -18,10 +18,23 @@
 #   SKIP_LINT=1      drop leg 0
 #   SKIP_SANITIZE=1  drop leg 3 (e.g. on toolchains without libasan)
 #   SKIP_TSAN=1      drop leg 4 (e.g. on toolchains without libtsan)
+# Every leg runs on a clean export of the committed tree (`git archive
+# HEAD`), never on the working tree, so an untracked file a test needs (a
+# fixture that was never committed) fails here as it would in a fresh clone.
+# Uncommitted edits are therefore not tested: commit first.  The export and
+# its build trees live in a temporary directory that is removed on exit.
 # Perf is gated separately: scripts/bench.sh --check compares the Release
 # benchmarks against the committed BENCH_*.json trajectories.
 set -euo pipefail
-cd "$(dirname "$0")/.."
+repo=$(cd "$(dirname "$0")/.." && pwd)
+export_dir=$(mktemp -d "${TMPDIR:-/tmp}/snnmap-ci.XXXXXX")
+trap 'rm -rf "$export_dir"' EXIT
+git -C "$repo" archive HEAD | tar -x -C "$export_dir"
+if [[ -n "$(git -C "$repo" status --porcelain)" ]]; then
+  echo "note: uncommitted or untracked changes are not part of this run"
+fi
+echo "=== ci: testing $(git -C "$repo" rev-parse --short HEAD) in $export_dir ==="
+cd "$export_dir"
 
 JOBS=${JOBS:-$(nproc)}
 

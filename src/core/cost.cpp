@@ -1,6 +1,7 @@
 #include "core/cost.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <unordered_set>
 #include <vector>
@@ -51,16 +52,19 @@ std::uint64_t CostModel::global_spike_count(
   return total;
 }
 
-std::uint64_t CostModel::incident_cut(
+std::uint64_t CostModel::incident_spikes(
     const std::vector<CrossbarId>& assignment, std::uint32_t neuron,
-    CrossbarId candidate) const {
-  std::uint64_t cut = 0;
+    std::vector<std::uint64_t>& per_crossbar) const {
+  std::fill(per_crossbar.begin(), per_crossbar.end(), 0);
+  std::uint64_t total = 0;
   for (std::uint32_t k = adj_offsets_[neuron]; k < adj_offsets_[neuron + 1];
        ++k) {
     const CrossbarId other = assignment[adj_other_[k]];
-    if (other != kUnassigned && other != candidate) cut += adj_spikes_[k];
+    if (other == kUnassigned) continue;
+    per_crossbar[other] += adj_spikes_[k];
+    total += adj_spikes_[k];
   }
-  return cut;
+  return total;
 }
 
 std::uint64_t CostModel::spikes_between(const Partition& partition,
@@ -83,28 +87,38 @@ std::uint64_t CostModel::multicast_packet_count(
     const std::vector<CrossbarId>& assignment) const {
   const auto& offsets = graph_.fanout_offsets();
   const auto& targets = graph_.fanout_targets();
-  // Size the stamp scratch to the largest crossbar id in use (+1).
+  // Distinct remote crossbars per neuron, as a bitmask over the crossbar
+  // ids in use plus a spare id standing in for kUnassigned: set each
+  // target's bit, clear the neuron's own bit and the spare, popcount.  The
+  // mask is built one 64-bit word at a time in a register (a fanout scan
+  // per word, so a single scan below 64 crossbars); a mask in memory would
+  // chain every synapse's read-modify-write through store forwarding.
   CrossbarId max_c = 0;
   for (const CrossbarId c : assignment) {
     if (c != kUnassigned && c > max_c) max_c = c;
   }
-  if (crossbar_stamp_.size() <= max_c) {
-    crossbar_stamp_.assign(static_cast<std::size_t>(max_c) + 1, 0);
-  }
+  const CrossbarId spare = max_c + 1;
+  const auto slot = [spare](CrossbarId c) {
+    return c == kUnassigned ? spare : c;
+  };
+  // The bit of id `c` within word `w` of the mask, or 0 outside it.
+  const auto bit = [](CrossbarId c, CrossbarId w) {
+    return std::uint64_t{c / 64 == w} << (c % 64);
+  };
+  const CrossbarId words = spare / 64 + 1;
   std::uint64_t packets = 0;
   for (std::uint32_t i = 0; i < graph_.neuron_count(); ++i) {
     const std::uint64_t spikes = graph_.spike_count(i);
     if (spikes == 0) continue;
-    ++stamp_;
+    const CrossbarId own = slot(assignment[i]);
     std::uint64_t remotes = 0;
-    const CrossbarId own = assignment[i];
-    for (std::uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
-      const CrossbarId c = assignment[targets[k]];
-      if (c == own || c == kUnassigned) continue;
-      if (crossbar_stamp_[c] != stamp_) {
-        crossbar_stamp_[c] = stamp_;
-        ++remotes;
+    for (CrossbarId w = 0; w < words; ++w) {
+      std::uint64_t mask = 0;
+      for (std::uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+        mask |= bit(slot(assignment[targets[k]]), w);
       }
+      mask &= ~(bit(own, w) | bit(spare, w));
+      remotes += static_cast<std::uint64_t>(std::popcount(mask));
     }
     packets += spikes * remotes;
   }

@@ -44,11 +44,15 @@ class CostModel {
   std::uint64_t global_spike_count(
       const std::vector<CrossbarId>& assignment) const;
 
-  /// Spikes cut by edges incident to `neuron` if it were placed on
-  /// `candidate`; neighbors still unassigned (kUnassigned) are ignored.
-  /// Used by the PSO/GA capacity-repair operators.
-  std::uint64_t incident_cut(const std::vector<CrossbarId>& assignment,
-                             std::uint32_t neuron, CrossbarId candidate) const;
+  /// Spikes on the edges incident to `neuron`, per crossbar of the other
+  /// endpoint: `per_crossbar` (sized above every crossbar id in
+  /// `assignment`) is zeroed and filled; neighbors still unassigned
+  /// (kUnassigned) are skipped.  Returns the sum over all crossbars, so
+  /// placing `neuron` on k cuts `sum - per_crossbar[k]` spikes.  Used by
+  /// the PSO capacity-repair operator.
+  std::uint64_t incident_spikes(const std::vector<CrossbarId>& assignment,
+                                std::uint32_t neuron,
+                                std::vector<std::uint64_t>& per_crossbar) const;
 
   /// Eq. 7 restricted to one ordered crossbar pair (k1 -> k2).
   std::uint64_t spikes_between(const Partition& partition, CrossbarId k1,
@@ -107,10 +111,6 @@ class CostModel {
 
   const snn::SnnGraph& graph_;
   std::vector<WeightedEdge> edges_;
-  // Stamp-marking scratch for distinct-crossbar counting (avoids a hash set
-  // allocation per fitness evaluation on the optimizer hot path).
-  mutable std::vector<std::uint64_t> crossbar_stamp_;
-  mutable std::uint64_t stamp_ = 0;
   // CSR adjacency over undirected incidence for move_delta: for neuron n,
   // (other endpoint, charged spikes) of every edge touching n.
   std::vector<std::uint32_t> adj_offsets_;

@@ -12,23 +12,66 @@
 namespace snnmap::core {
 namespace {
 
-double sigmoid(double v) noexcept { return 1.0 / (1.0 + std::exp(-v)); }
+/// Rejects constants the swarm update cannot run with: no iteration leaves
+/// Gbest empty, and std::clamp (and SigmoidBounds) need 0 < v_max < inf.
+PsoConfig validated(const PsoConfig& config) {
+  if (config.swarm_size == 0) {
+    throw std::invalid_argument("PsoPartitioner: swarm size must be >= 1");
+  }
+  if (config.iterations == 0) {
+    throw std::invalid_argument("PsoPartitioner: iterations must be >= 1");
+  }
+  if (!std::isfinite(config.v_max) || config.v_max <= 0.0) {
+    throw std::invalid_argument(
+        "PsoPartitioner: v_max must be finite and > 0");
+  }
+  if (!std::isfinite(config.inertia) || !std::isfinite(config.phi1) ||
+      !std::isfinite(config.phi2)) {
+    throw std::invalid_argument(
+        "PsoPartitioner: inertia, phi1 and phi2 must be finite");
+  }
+  return config;
+}
 
 }  // namespace
+
+SigmoidBounds::SigmoidBounds(double v_max)
+    : lo_(-v_max * (1.0 + 1.0 / 1024)),
+      width_(-2.0 * lo_ / static_cast<double>(kBuckets)),
+      scale_(static_cast<double>(kBuckets) / (-2.0 * lo_)),
+      buckets_(kBuckets) {
+  // The index t = (v - lo_) * scale_ is off from the real-number bucket
+  // position by a few ulps, and exp is accurate to about an ulp, so each
+  // bound is taken 1/256 of a bucket beyond its edge and then moved 1e-12
+  // outward in probability: both pads exceed those errors by many orders of
+  // magnitude, and sigmoid is monotone, so every v the index maps into a
+  // bucket has sigmoid(v) strictly between the bucket's bounds.  For an
+  // integer u53 and a real p, u53 * 2^-53 < p iff u53 < ceil(p * 2^53),
+  // and p * 2^53 is exact, so the thresholds are those ceilings, clamped
+  // to the range [0, 2^53] of u53.
+  const double pad = width_ / 256.0;
+  constexpr double kMargin = 1e-12;
+  const auto threshold = [](double p) {
+    return static_cast<std::uint64_t>(
+        std::clamp(std::ceil(p * 0x1.0p53), 0.0, 0x1.0p53));
+  };
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    buckets_[b].hit_below = threshold(sigmoid(edge(b) - pad) - kMargin);
+    buckets_[b].miss_from = threshold(sigmoid(edge(b + 1) + pad) + kMargin);
+  }
+}
 
 PsoPartitioner::PsoPartitioner(const snn::SnnGraph& graph,
                                const hw::Architecture& arch, PsoConfig config)
     : graph_(graph),
       arch_(arch),
-      config_(config),
-      evaluator_(graph, config.threads, config.swarm_size) {
+      config_(validated(config)),
+      evaluator_(graph, config.threads, config.swarm_size),
+      sigmoid_(config.v_max) {
   if (!arch.fits(graph.neuron_count())) {
     throw std::invalid_argument("PsoPartitioner: network does not fit (" +
                                 std::to_string(graph.neuron_count()) + " > " +
                                 std::to_string(arch.capacity()) + " neurons)");
-  }
-  if (config_.swarm_size == 0) {
-    throw std::invalid_argument("PsoPartitioner: swarm size must be >= 1");
   }
 }
 
@@ -78,19 +121,22 @@ void PsoPartitioner::capacity_repair(std::vector<CrossbarId>& assignment,
   for (const CrossbarId k : assignment) {
     if (k != kUnassigned) ++occ[k];
   }
-  // Evict random residents of overloaded crossbars into a pool...
+  // Evict random residents of overloaded crossbars into a pool (residents
+  // listed in neuron order, and only for the overloaded crossbars)...
   std::vector<std::uint32_t> pool;
-  std::vector<std::vector<std::uint32_t>> members(c);
-  for (std::uint32_t i = 0; i < assignment.size(); ++i) {
-    if (assignment[i] != kUnassigned) members[assignment[i]].push_back(i);
-  }
+  std::vector<std::uint32_t> members;
   for (CrossbarId k = 0; k < c; ++k) {
+    if (occ[k] <= cap) continue;
+    members.clear();
+    for (std::uint32_t i = 0; i < assignment.size(); ++i) {
+      if (assignment[i] == k) members.push_back(i);
+    }
     while (occ[k] > cap) {
-      const std::size_t pick = static_cast<std::size_t>(
-          rng.below(members[k].size()));
-      const std::uint32_t neuron = members[k][pick];
-      members[k][pick] = members[k].back();
-      members[k].pop_back();
+      const std::size_t pick =
+          static_cast<std::size_t>(rng.below(members.size()));
+      const std::uint32_t neuron = members[pick];
+      members[pick] = members.back();
+      members.pop_back();
       assignment[neuron] = kUnassigned;
       pool.push_back(neuron);
       --occ[k];
@@ -99,13 +145,15 @@ void PsoPartitioner::capacity_repair(std::vector<CrossbarId>& assignment,
   // ...then re-place each pooled neuron on the feasible crossbar that cuts
   // the fewest incident spikes (greedy, cheapest-first order is the pool's
   // random order — adequate and cheap).
+  std::vector<std::uint64_t> to_crossbar(c);
   for (const std::uint32_t neuron : pool) {
+    const std::uint64_t incident =
+        evaluator_.model().incident_spikes(assignment, neuron, to_crossbar);
     CrossbarId best = kUnassigned;
     std::uint64_t best_cut = ~0ULL;
     for (CrossbarId k = 0; k < c; ++k) {
       if (occ[k] >= cap) continue;
-      const std::uint64_t cut =
-          evaluator_.model().incident_cut(assignment, neuron, k);
+      const std::uint64_t cut = incident - to_crossbar[k];
       if (cut < best_cut) {
         best_cut = cut;
         best = k;
@@ -119,31 +167,95 @@ void PsoPartitioner::capacity_repair(std::vector<CrossbarId>& assignment,
   }
 }
 
+void PsoPartitioner::update_velocity(Particle& p,
+                                     const std::vector<CrossbarId>& gbest,
+                                     util::Rng& rng) const {
+  // Eq. 1 with inertia and per-component random scaling: each component
+  // draws u1 (cognitive) then u2 (social).  Where x, pb and gb are all 0 —
+  // every k but a neuron's xi, pbi and gbi — both terms are (phi * u) *
+  // (+0.0), a zero carrying phi's sign whatever u is.  Those components use
+  // their draws only to advance the stream, so per neuron the 2C draws are
+  // taken first, the plain inertia update sweeps all C components without
+  // touching them, and the at most three others are then overwritten with
+  // the full expression.  The generator is copied into a local so its state
+  // stays in registers.
+  const std::uint32_t n = graph_.neuron_count();
+  const std::uint32_t c = arch_.crossbar_count;
+  const double inertia = config_.inertia;
+  const double phi1 = config_.phi1;
+  const double phi2 = config_.phi2;
+  const double v_max = config_.v_max;
+  const double zero1 = std::copysign(0.0, phi1);
+  const double zero2 = std::copysign(0.0, phi2);
+  const CrossbarId* pbest = p.best_position.empty() ? p.position.data()
+                                                    : p.best_position.data();
+  std::vector<std::uint64_t> u53(2 * static_cast<std::size_t>(c));
+  float* vel = p.velocity.data();
+  util::Rng r = rng;
+  for (std::uint32_t i = 0; i < n; ++i, vel += c) {
+    for (std::uint64_t& u : u53) u = r.uniform53();
+    const CrossbarId xi = p.position[i];
+    const CrossbarId pbi = pbest[i];
+    const CrossbarId gbi = gbest[i];
+    const auto full = [&](CrossbarId k) {
+      const auto x = static_cast<double>(xi == k);
+      const auto pb = static_cast<double>(pbi == k);
+      const auto gb = static_cast<double>(gbi == k);
+      const double u1 = util::Rng::unit(u53[2 * k]);
+      const double u2 = util::Rng::unit(u53[2 * k + 1]);
+      const double v = inertia * static_cast<double>(vel[k]) +
+                       phi1 * u1 * (pb - x) + phi2 * u2 * (gb - x);
+      return static_cast<float>(std::clamp(v, -v_max, v_max));
+    };
+    const CrossbarId special[3] = {xi, pbi, gbi};
+    float updated[3] = {};
+    for (int j = 0; j < 3; ++j) {
+      if (special[j] < c) updated[j] = full(special[j]);
+    }
+    for (std::uint32_t k = 0; k < c; ++k) {
+      const double v = inertia * static_cast<double>(vel[k]) + zero1 + zero2;
+      vel[k] = static_cast<float>(std::clamp(v, -v_max, v_max));
+    }
+    for (int j = 0; j < 3; ++j) {
+      if (special[j] < c) vel[special[j]] = updated[j];
+    }
+  }
+  rng = r;
+}
+
 void PsoPartitioner::binarize_and_repair(Particle& p, util::Rng& rng) {
   const std::uint32_t n = graph_.neuron_count();
   const std::uint32_t c = arch_.crossbar_count;
   // Per-neuron stochastic binarization (Eqs. 2-3) followed by one-hot repair
   // (Eq. 4): among the sampled set bits keep one uniformly; if none were
-  // sampled, roulette-select a crossbar proportionally to sigmoid(v).
-  std::vector<double> probs(c);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    double prob_sum = 0.0;
-    for (std::uint32_t k = 0; k < c; ++k) {
-      probs[k] = sigmoid(static_cast<double>(p.velocity[i * c + k]));
-      prob_sum += probs[k];
-    }
+  // sampled, roulette-select a crossbar proportionally to sigmoid(v).  Only
+  // the roulette needs the probabilities themselves; the per-bit tests go
+  // through the bounds table.
+  const float* vel = p.velocity.data();
+  util::Rng r = rng;
+  for (std::uint32_t i = 0; i < n; ++i, vel += c) {
     CrossbarId chosen = kUnassigned;
-    std::uint32_t set_bits = 0;
+    std::uint64_t set_bits = 0;
     for (std::uint32_t k = 0; k < c; ++k) {
-      if (rng.uniform() < probs[k]) {
-        ++set_bits;
-        if (rng.below(set_bits) == 0) chosen = k;
-      }
+      // A set bit draws below(set_bits) and keeps k on 0.  That draw is
+      // taken without a branch: computed for every bit, committed to the
+      // stream only on a hit (below_from of 0 is 0 and draws nothing).
+      const std::uint64_t hit =
+          sigmoid_.below_sigmoid(r.uniform53(), static_cast<double>(vel[k]));
+      set_bits += hit;
+      const std::uint64_t first = r.next_if(hit != 0);
+      const std::uint64_t pick = r.below_from(first, set_bits & (0 - hit));
+      const std::uint64_t keep_k = hit & static_cast<std::uint64_t>(pick == 0);
+      chosen ^= (chosen ^ k) & static_cast<CrossbarId>(0 - keep_k);
     }
     if (chosen == kUnassigned) {
-      double target = rng.uniform() * prob_sum;
+      double prob_sum = 0.0;
       for (std::uint32_t k = 0; k < c; ++k) {
-        target -= probs[k];
+        prob_sum += SigmoidBounds::sigmoid(static_cast<double>(vel[k]));
+      }
+      double target = r.uniform() * prob_sum;
+      for (std::uint32_t k = 0; k < c; ++k) {
+        target -= SigmoidBounds::sigmoid(static_cast<double>(vel[k]));
         if (target <= 0.0 || k == c - 1) {
           chosen = k;
           break;
@@ -152,6 +264,7 @@ void PsoPartitioner::binarize_and_repair(Particle& p, util::Rng& rng) {
     }
     p.position[i] = chosen;
   }
+  rng = r;
   capacity_repair(p.position, rng);
 }
 
@@ -227,26 +340,9 @@ PsoResult PsoPartitioner::optimize() {
     if (config_.patience != 0 && stale >= config_.patience) break;
     if (iter + 1 == config_.iterations) break;  // skip final wasted update
 
-    // Velocity + position update (Eq. 1 with inertia and per-component
-    // random scaling), then binarize + repair (Eqs. 2-5).
+    // Velocity + position update (Eq. 1), then binarize + repair (Eqs. 2-5).
     for (auto& p : swarm) {
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const CrossbarId xi = p.position[i];
-        const CrossbarId pbi =
-            p.best_position.empty() ? xi : p.best_position[i];
-        const CrossbarId gbi = gbest[i];
-        for (std::uint32_t k = 0; k < c; ++k) {
-          const std::size_t d = static_cast<std::size_t>(i) * c + k;
-          const double x = xi == k ? 1.0 : 0.0;
-          const double pb = pbi == k ? 1.0 : 0.0;
-          const double gb = gbi == k ? 1.0 : 0.0;
-          double v = config_.inertia * static_cast<double>(p.velocity[d]) +
-                     config_.phi1 * rng.uniform() * (pb - x) +
-                     config_.phi2 * rng.uniform() * (gb - x);
-          v = std::clamp(v, -config_.v_max, config_.v_max);
-          p.velocity[d] = static_cast<float>(v);
-        }
-      }
+      update_velocity(p, gbest, rng);
       binarize_and_repair(p, rng);
     }
   }

@@ -16,8 +16,20 @@
 // Per-iteration fitness evaluation of the whole swarm fans out over a
 // BatchEvaluator worker pool (PsoConfig::threads); all randomness stays on
 // the caller's thread, so results are identical at any thread count.
+//
+// The exact RNG stream is a contract: for a given PsoConfig, the sequence
+// of draws and every floating-point expression that feeds a decision fix
+// the whole trajectory, and PsoResult is pinned bit for bit by
+// tests/core/pso_golden_test.cpp.  The hot loops are fast paths that keep
+// it: the draws inline from util/rng.hpp into a register-resident copy of
+// the swarm generator, and the binarization decides u < sigmoid(v) from
+// precomputed per-velocity-bucket bounds (SigmoidBounds), evaluating the
+// exact sigmoid only when u falls between them.  Changing the order or the
+// number of draws changes every result and needs re-pinned fixtures.
 #pragma once
 
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -61,6 +73,70 @@ struct PsoConfig {
   std::uint32_t patience = 0;
 };
 
+/// Exact Bernoulli test u < sigmoid(v) for the binarization of Eqs. 2-3,
+/// mostly without evaluating exp.  u is a uniform draw given as the 53-bit
+/// integer u53 = u * 2^53 (util::Rng::uniform53).  [-v_max, v_max], slightly
+/// widened so clamped velocities that round outward to float stay inside,
+/// is cut into kBuckets velocity buckets; each stores integer thresholds
+/// from a lower and an upper bound on sigmoid over the bucket, padded in
+/// velocity and in probability far beyond any rounding of the bucket index
+/// or of exp.  A u53 below the first threshold is a hit and one at or above
+/// the second a miss — the answer the exact expression gives — and only a
+/// u53 in between (about 0.03% of draws at v_max 4) pays for the exact
+/// sigmoid.  The thresholds are integers so the test needs no conversion.
+class SigmoidBounds {
+ public:
+  static constexpr std::size_t kBuckets = 4096;
+
+  /// Requires a finite v_max > 0 (PsoPartitioner validates it).
+  explicit SigmoidBounds(double v_max);
+
+  /// The binarization probability, exactly as Eq. 2 evaluates it.
+  static double sigmoid(double v) noexcept {
+    return 1.0 / (1.0 + std::exp(-v));
+  }
+
+  /// Equals `util::Rng::unit(u53) < sigmoid(v)`, i.e. u53 * 2^-53 <
+  /// sigmoid(v), for every u53 < 2^53 and every v.
+  bool below_sigmoid(std::uint64_t u53, double v) const noexcept {
+    const double t = (v - lo_) * scale_;
+    if (t >= 0.0 && t < static_cast<double>(kBuckets)) [[likely]] {
+      const Bucket& b = buckets_[static_cast<std::uint32_t>(t)];
+      // Sign-bit tests (u53 and the thresholds are below 2^63) rather than
+      // comparisons, so the compiler keeps the 50/50 outcome out of the
+      // branch predictor; only the rare undecided case branches.
+      const std::uint64_t hit = (u53 - b.hit_below) >> 63;
+      const std::uint64_t miss = (b.miss_from - 1 - u53) >> 63;
+      if ((hit | miss) != 0) [[likely]] return hit != 0;
+    }
+    return util::Rng::unit(u53) < sigmoid(v);
+  }
+
+  /// Velocity at the low edge of bucket `b` (b = kBuckets: the top edge).
+  double edge(std::size_t b) const noexcept {
+    return lo_ + static_cast<double>(b) * width_;
+  }
+  /// Bucket b's thresholds: u53 < hit_below(b) is a hit and u53 >=
+  /// miss_from(b) a miss for every v the bucket covers.
+  std::uint64_t hit_below(std::size_t b) const {
+    return buckets_.at(b).hit_below;
+  }
+  std::uint64_t miss_from(std::size_t b) const {
+    return buckets_.at(b).miss_from;
+  }
+
+ private:
+  struct Bucket {
+    std::uint64_t hit_below;
+    std::uint64_t miss_from;
+  };
+
+  double lo_;
+  double width_;
+  double scale_;
+  std::vector<Bucket> buckets_;
+};
+
 struct PsoResult {
   Partition best;
   std::uint64_t best_cost = 0;          ///< F at the optimum (see objective)
@@ -71,6 +147,9 @@ struct PsoResult {
 
 class PsoPartitioner {
  public:
+  /// Throws std::invalid_argument if the network does not fit `arch`, or
+  /// if `config` has swarm_size or iterations 0, a v_max that is not finite
+  /// and positive, or a non-finite inertia, phi1 or phi2.
   PsoPartitioner(const snn::SnnGraph& graph, const hw::Architecture& arch,
                  PsoConfig config);
 
@@ -87,6 +166,8 @@ class PsoPartitioner {
 
   /// Evaluates every particle's position into costs_ (parallel fan-out).
   void evaluate_swarm(const std::vector<Particle>& swarm);
+  void update_velocity(Particle& p, const std::vector<CrossbarId>& gbest,
+                       util::Rng& rng) const;
   void binarize_and_repair(Particle& p, util::Rng& rng);
   void capacity_repair(std::vector<CrossbarId>& assignment, util::Rng& rng);
   std::vector<CrossbarId> random_assignment(util::Rng& rng);
@@ -95,6 +176,7 @@ class PsoPartitioner {
   hw::Architecture arch_;
   PsoConfig config_;
   BatchEvaluator evaluator_;
+  SigmoidBounds sigmoid_;
   std::vector<std::uint64_t> costs_;  ///< per-particle fitness scratch
   std::uint64_t evaluations_ = 0;
 };

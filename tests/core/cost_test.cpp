@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <vector>
 
 #include "core/framework.hpp"
@@ -87,6 +88,83 @@ TEST(CostModel, MulticastCollapsesSameCrossbarTargets) {
   EXPECT_EQ(cost.multicast_packet_count(make_partition({0, 1, 1}, 2)), 4u);
   EXPECT_EQ(cost.multicast_packet_count(make_partition({0, 1, 2}, 3)), 8u);
   EXPECT_EQ(cost.multicast_packet_count(make_partition({0, 0, 0}, 2)), 0u);
+}
+
+/// Random graph with self loops, duplicate edges and silent neurons.
+snn::SnnGraph random_graph(std::uint32_t n, int edge_count,
+                           std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<snn::GraphEdge> edges;
+  for (int e = 0; e < edge_count; ++e) {
+    edges.push_back({static_cast<std::uint32_t>(rng.below(n)),
+                     static_cast<std::uint32_t>(rng.below(n)), 1.0F});
+  }
+  std::vector<snn::SpikeTrain> trains(n);
+  for (auto& train : trains) {
+    const auto spikes = rng.below(4);
+    for (std::uint64_t s = 0; s < spikes; ++s) train.push_back(1.0 + s);
+  }
+  return snn::SnnGraph::from_parts(n, std::move(edges), std::move(trains),
+                                   10.0);
+}
+
+/// Ids in [0, c), with c - 1 always present and about one in eight
+/// neurons left kUnassigned.
+std::vector<CrossbarId> random_assignment(std::uint32_t n, std::uint32_t c,
+                                          util::Rng& rng) {
+  std::vector<CrossbarId> a(n);
+  for (auto& k : a) {
+    k = rng.below(8) == 0 ? kUnassigned
+                          : static_cast<CrossbarId>(rng.below(c));
+  }
+  a[rng.below(n)] = c - 1;
+  return a;
+}
+
+TEST(CostModel, MulticastMatchesDistinctSetReference) {
+  // The bitmask count against a std::set per source neuron, across crossbar
+  // counts on both sides of each 64-bit word boundary.
+  const auto g = random_graph(300, 3000, 11);
+  const CostModel cost(g);
+  util::Rng rng(12);
+  for (const std::uint32_t c : {1U, 7U, 64U, 65U, 130U}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const auto a = random_assignment(g.neuron_count(), c, rng);
+      std::vector<std::set<CrossbarId>> remote(g.neuron_count());
+      for (const auto& e : g.edges()) {
+        const CrossbarId dst = a[e.post];
+        if (dst != a[e.pre] && dst != kUnassigned) remote[e.pre].insert(dst);
+      }
+      std::uint64_t expect = 0;
+      for (std::uint32_t i = 0; i < g.neuron_count(); ++i) {
+        expect += g.spike_count(i) * remote[i].size();
+      }
+      ASSERT_EQ(cost.multicast_packet_count(a), expect)
+          << "C=" << c << " trial " << trial;
+    }
+  }
+}
+
+TEST(CostModel, IncidentSpikesMatchEdgeWalk) {
+  const auto g = random_graph(120, 900, 21);
+  const CostModel cost(g);
+  util::Rng rng(22);
+  for (const std::uint32_t c : {1U, 5U, 70U}) {
+    const auto a = random_assignment(g.neuron_count(), c, rng);
+    std::vector<std::uint64_t> per_crossbar(c);
+    for (std::uint32_t n = 0; n < g.neuron_count(); ++n) {
+      std::vector<std::uint64_t> expect(c, 0);
+      for (const auto& e : g.edges()) {
+        if (e.pre == e.post || (e.pre != n && e.post != n)) continue;
+        const CrossbarId other = a[e.pre == n ? e.post : e.pre];
+        if (other != kUnassigned) expect[other] += g.spike_count(e.pre);
+      }
+      std::uint64_t expect_total = 0;
+      for (const std::uint64_t s : expect) expect_total += s;
+      ASSERT_EQ(cost.incident_spikes(a, n, per_crossbar), expect_total);
+      ASSERT_EQ(per_crossbar, expect) << "neuron " << n << " C=" << c;
+    }
+  }
 }
 
 TEST(CostModel, MoveDeltaMatchesRecomputation) {

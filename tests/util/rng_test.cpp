@@ -210,5 +210,57 @@ TEST(Rng, ForkProducesIndependentStream) {
   EXPECT_LT(equal, 2);
 }
 
+TEST(Rng, StreamIsPinned) {
+  // The raw xoshiro256** stream is a contract (the PSO golden results rest
+  // on it); these are its first values for seed 42.
+  Rng r(42);
+  EXPECT_EQ(r.next(), 0x15780B2E0C2EC716ULL);
+  EXPECT_EQ(r.next(), 0x6104D9866D113A7EULL);
+  EXPECT_EQ(r.uniform53(), 0xAE17533239E499A1ULL >> 11);
+  EXPECT_EQ(r.uniform(),
+            static_cast<double>(0xECB8AD4703B360A1ULL >> 11) * 0x1.0p-53);
+}
+
+TEST(Rng, NextIfCommitsOnlyWhenTaken) {
+  Rng a(71);
+  Rng b(71);
+  for (int i = 0; i < 1000; ++i) {
+    const bool take = (i * 7) % 3 == 0;
+    const std::uint64_t peeked = a.next_if(take);
+    if (take) {
+      EXPECT_EQ(peeked, b.next());
+    } else {
+      Rng probe = b;
+      EXPECT_EQ(peeked, probe.next());  // the value next() would return
+    }
+  }
+  EXPECT_EQ(a.next(), b.next());  // both streams at the same position
+}
+
+TEST(Rng, BelowFromMatchesBelow) {
+  for (const std::uint64_t n : {0ULL, 1ULL, 2ULL, 7ULL, 1000ULL, 1ULL << 40,
+                                (1ULL << 63) + 12345}) {
+    Rng a(83);
+    Rng b(83);
+    for (int i = 0; i < 200; ++i) {
+      const std::uint64_t expect = a.below(n);
+      const std::uint64_t got = n == 0 ? b.below_from(0, 0)
+                                       : b.below_from(b.next(), n);
+      EXPECT_EQ(got, expect) << "n=" << n;
+    }
+    EXPECT_EQ(a.next(), b.next()) << "n=" << n;  // same draws consumed
+  }
+}
+
+TEST(Rng, UniformIsUnitOfUniform53) {
+  Rng a(91);
+  Rng b(91);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t u53 = a.uniform53();
+    EXPECT_LT(u53, 1ULL << 53);
+    EXPECT_EQ(b.uniform(), Rng::unit(u53));
+  }
+}
+
 }  // namespace
 }  // namespace snnmap::util
