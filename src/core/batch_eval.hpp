@@ -5,9 +5,8 @@
 // entire swarm or population against the same immutable spike graph.  The
 // evaluations are independent, so they fan out over a ThreadPool.  The
 // evaluator owns one CostModel per worker — each touched by exactly one
-// thread per batch — and all randomness stays on the caller's thread.
-// (CostModel no longer keeps mutable scratch, so the replicas could fold
-// into one shared model.)  Costs land in a slot
+// thread per batch, though CostModel keeps no mutable state — and all
+// randomness stays on the caller's thread.  Costs land in a slot
 // indexed by candidate, making parallel results bit-identical to the serial
 // path under a fixed seed.
 //

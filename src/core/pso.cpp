@@ -36,7 +36,7 @@ PsoConfig validated(const PsoConfig& config) {
 }  // namespace
 
 SigmoidBounds::SigmoidBounds(double v_max)
-    : lo_(-v_max * (1.0 + 1.0 / 1024)),
+    : lo_(-std::min(v_max, kMaxSpan) * (1.0 + 1.0 / 1024)),
       width_(-2.0 * lo_ / static_cast<double>(kBuckets)),
       scale_(static_cast<double>(kBuckets) / (-2.0 * lo_)),
       buckets_(kBuckets) {

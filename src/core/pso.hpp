@@ -75,18 +75,22 @@ struct PsoConfig {
 
 /// Exact Bernoulli test u < sigmoid(v) for the binarization of Eqs. 2-3,
 /// mostly without evaluating exp.  u is a uniform draw given as the 53-bit
-/// integer u53 = u * 2^53 (util::Rng::uniform53).  [-v_max, v_max], slightly
-/// widened so clamped velocities that round outward to float stay inside,
-/// is cut into kBuckets velocity buckets; each stores integer thresholds
-/// from a lower and an upper bound on sigmoid over the bucket, padded in
-/// velocity and in probability far beyond any rounding of the bucket index
-/// or of exp.  A u53 below the first threshold is a hit and one at or above
-/// the second a miss — the answer the exact expression gives — and only a
-/// u53 in between (about 0.03% of draws at v_max 4) pays for the exact
-/// sigmoid.  The thresholds are integers so the test needs no conversion.
+/// integer u53 = u * 2^53 (util::Rng::uniform53).  [-v_max, v_max] (at most
+/// [-kMaxSpan, kMaxSpan]), slightly widened so clamped velocities that round
+/// outward to float stay inside, is cut into kBuckets velocity buckets; each
+/// stores integer thresholds from a lower and an upper bound on sigmoid over
+/// the bucket, padded in velocity and in probability far beyond any rounding
+/// of the bucket index or of exp.  A u53 below the first threshold is a hit
+/// and one at or above the second a miss — the answer the exact expression
+/// gives — and only a u53 in between (a band averaging about 0.02% of the u
+/// range at v_max 4) pays for the exact sigmoid.  The thresholds are
+/// integers so the test needs no conversion.
 class SigmoidBounds {
  public:
   static constexpr std::size_t kBuckets = 4096;
+  /// The table covers at most |v| <= kMaxSpan: sigmoid is within 2^-92 of 0
+  /// or 1 beyond it, and velocities out there take the exact expression.
+  static constexpr double kMaxSpan = 64.0;
 
   /// Requires a finite v_max > 0 (PsoPartitioner validates it).
   explicit SigmoidBounds(double v_max);

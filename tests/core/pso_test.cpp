@@ -246,9 +246,11 @@ TEST(Pso, AcceptsUnusualButFiniteConstants) {
   config.inertia = -0.5;
   config.phi1 = 0.0;
   config.phi2 = -1.0;
-  config.v_max = 1e-3;
-  PsoPartitioner pso(g, arch_2x6(), config);
-  EXPECT_NO_THROW(pso.optimize().best.validate(arch_2x6()));
+  for (const double v_max : {1e-3, 1e300}) {
+    config.v_max = v_max;
+    PsoPartitioner pso(g, arch_2x6(), config);
+    EXPECT_NO_THROW(pso.optimize().best.validate(arch_2x6()));
+  }
 }
 
 TEST(Pso, CountsFitnessEvaluations) {
@@ -360,6 +362,17 @@ TEST(SigmoidBounds, BucketEdgesAndClampLimits) {
           std::nextafter(-limit, 0.0F), std::nextafter(limit, 1e9F),
           std::nextafter(-limit, -1e9F), 2.0F * limit, -2.0F * limit, 1e30F,
           -1e30F, 0.0F, -0.0F}) {
+      expect_exact_at(bounds, v);
+    }
+  }
+}
+
+TEST(SigmoidBounds, HugeClampRangeStaysExact) {
+  // The table stops at kMaxSpan; larger |v| go to the exact expression.
+  for (const double v_max : {100.0, 1e300}) {
+    const SigmoidBounds bounds(v_max);
+    for (const float v : {0.0F, 0.5F, -3.0F, 63.9F, -64.1F, 100.0F, -1e30F,
+                          std::numeric_limits<float>::max()}) {
       expect_exact_at(bounds, v);
     }
   }
