@@ -25,7 +25,6 @@
 
 #include "apps/registry.hpp"
 #include "core/batch_eval.hpp"
-#include "core/config_io.hpp"
 #include "core/framework.hpp"
 #include "core/placement.hpp"
 #include "util/table.hpp"

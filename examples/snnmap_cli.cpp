@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,6 +93,19 @@ std::uint64_t parse_uint(const char* flag, const std::string& text) {
   }
 }
 
+// Flags that alias config keys.  The flag's value is written into the
+// loaded config under each key, so the key table parses and range-checks it
+// exactly as if the file had said so.
+const std::map<std::string, std::vector<std::string>> kKeyFlags = {
+    {"--partitioner", {"flow.partitioner"}},
+    {"--interconnect", {"arch.interconnect"}},
+    {"--noc-engine", {"noc.engine"}},
+    {"--seed", {"flow.seed"}},
+    {"--chips", {"arch.chips"}},
+    {"--cosim-cycles", {"cosim.cycles_per_timestep"}},
+    {"--threads", {"pso.threads", "genetic.threads", "annealing.threads"}},
+};
+
 double parse_prob(const char* flag, const std::string& text) {
   try {
     std::size_t pos = 0;
@@ -124,19 +138,14 @@ int main(int argc, char** argv) {
   }
 
   util::Config file_config;
+  // (key, value) pairs from kKeyFlags, applied over the file once all
+  // arguments are read.
+  std::vector<std::pair<std::string, std::string>> key_overrides;
   std::string csv_path;
-  std::uint64_t seed = 42;
-  std::uint32_t threads = 0;
-  bool threads_set = false;
   std::uint32_t crossbar_size = 0;
-  std::uint32_t chips = 0;  // 0 = keep the config's chip count
-  std::string partitioner_override;
-  std::string interconnect_override;
-  std::string noc_engine_override;
   bool dump_config = false;
   bool analyze = false;
   bool cosim = false;
-  std::uint32_t cosim_cycles = 0;  // 0 = derive from the architecture
   bool faults = false;
   bool fault_seed_set = false;
   std::uint64_t fault_seed = 1;
@@ -160,40 +169,27 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--config") {
+    if (const auto flag = kKeyFlags.find(arg); flag != kKeyFlags.end()) {
+      const std::string value = need_value(arg.c_str());
+      for (const std::string& key : flag->second) {
+        key_overrides.emplace_back(key, value);
+      }
+      if (arg == "--cosim-cycles") cosim = true;
+    } else if (arg == "--config") {
       try {
         file_config = util::Config::load_file(need_value("--config"));
       } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << '\n';
         return 1;
       }
-    } else if (arg == "--partitioner") {
-      partitioner_override = need_value("--partitioner");
     } else if (arg == "--crossbar-size") {
       crossbar_size = static_cast<std::uint32_t>(
           parse_uint("--crossbar-size", need_value("--crossbar-size")));
-    } else if (arg == "--interconnect") {
-      interconnect_override = need_value("--interconnect");
-    } else if (arg == "--noc-engine") {
-      noc_engine_override = need_value("--noc-engine");
-    } else if (arg == "--chips") {
-      chips = static_cast<std::uint32_t>(
-          parse_uint("--chips", need_value("--chips")));
-    } else if (arg == "--seed") {
-      seed = parse_uint("--seed", need_value("--seed"));
-    } else if (arg == "--threads") {
-      threads = static_cast<std::uint32_t>(
-          parse_uint("--threads", need_value("--threads")));
-      threads_set = true;
     } else if (arg == "--csv") {
       csv_path = need_value("--csv");
     } else if (arg == "--dump-config") {
       dump_config = true;
     } else if (arg == "--cosim") {
-      cosim = true;
-    } else if (arg == "--cosim-cycles") {
-      cosim_cycles = static_cast<std::uint32_t>(
-          parse_uint("--cosim-cycles", need_value("--cosim-cycles")));
       cosim = true;
     } else if (arg == "--faults") {
       faults = true;
@@ -251,24 +247,10 @@ int main(int argc, char** argv) {
     }
   }
 
+  for (const auto& [key, value] : key_overrides) file_config.set(key, value);
+
   try {
     core::MappingFlowConfig flow = core::mapping_flow_from_config(file_config);
-    flow.seed = seed;
-    if (threads_set) {
-      flow.pso.threads = threads;
-      flow.genetic.threads = threads;
-      flow.annealing.threads = threads;
-    }
-    if (!partitioner_override.empty()) {
-      flow.partitioner = core::partitioner_from_string(partitioner_override);
-    }
-    if (!interconnect_override.empty()) {
-      flow.arch.interconnect =
-          hw::interconnect_from_string(interconnect_override);
-    }
-    if (!noc_engine_override.empty()) {
-      flow.noc.engine = noc::noc_engine_from_string(noc_engine_override);
-    }
 
     // Fault rates without an explicit horizon rely on the co-simulator's
     // auto-filled lockstep timeline; the open-loop mapping flow has no such
@@ -287,9 +269,9 @@ int main(int argc, char** argv) {
 
     // Progress goes to stderr so `--dump-config` (and `--csv -`-style uses)
     // leave stdout machine-readable.
-    std::cerr << "building workload '" << app << "' (seed " << seed
+    std::cerr << "building workload '" << app << "' (seed " << flow.seed
               << ")...\n";
-    const snn::SnnGraph graph = apps::build_app(app, seed);
+    const snn::SnnGraph graph = apps::build_app(app, flow.seed);
     if (crossbar_size != 0 || !flow.arch.fits(graph.neuron_count())) {
       const std::uint32_t size =
           crossbar_size != 0
@@ -303,7 +285,6 @@ int main(int argc, char** argv) {
       flow.arch.cycles_per_ms = cycles;
       flow.arch.chip_count = chip_count;
     }
-    if (chips != 0) flow.arch.chip_count = chips;
 
     if (dump_config) {
       util::Config effective;
@@ -355,7 +336,7 @@ int main(int argc, char** argv) {
       // Closed-loop co-simulation of the mapping just produced: the same
       // network, with cross-crossbar synapses carried by the cycle-level
       // NoC, compared against the same-seed ideal-interconnect run.
-      apps::AppNetwork app_net = apps::build_app_network(app, seed);
+      apps::AppNetwork app_net = apps::build_app_network(app, flow.seed);
       cosim::CoSimConfig cc;
       cc.snn = app_net.sim;
       cc.noc = flow.noc;
@@ -364,7 +345,6 @@ int main(int argc, char** argv) {
                  static_cast<double>(flow.arch.cycles_per_ms) *
                  app_net.sim.dt_ms));
       cc = core::cosim_from_config(file_config, cc);
-      if (cosim_cycles != 0) cc.cycles_per_timestep = cosim_cycles;
 
       // The closed-loop run carries the file's `faults:` section even when
       // the mapping flow ran fault-free (auto-horizon configs, see above).

@@ -1,8 +1,265 @@
 #include "core/config_io.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 namespace snnmap::core {
+namespace {
+
+// -- value codecs: one parser and one formatter per value kind
+
+template <typename T>
+T parse_value(const std::string& text) {
+  const char* first = text.data();
+  const char* last = first + text.size();
+  if constexpr (std::is_same_v<T, bool>) {
+    std::string lower = text;
+    std::transform(lower.begin(), lower.end(), lower.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    if (lower == "true" || lower == "yes" || lower == "on" || lower == "1") {
+      return true;
+    }
+    if (lower == "false" || lower == "no" || lower == "off" || lower == "0") {
+      return false;
+    }
+    throw std::invalid_argument("expected a bool, got '" + text + "'");
+  } else if constexpr (std::is_same_v<T, double>) {
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc{} || ptr != last) {
+      throw std::invalid_argument("expected a number, got '" + text + "'");
+    }
+    return value;
+  } else {
+    // Checked narrowing: parse the full unsigned 64-bit range, then reject
+    // anything the field cannot hold instead of wrapping it.
+    static_assert(std::is_unsigned_v<T>);
+    std::uint64_t value = 0;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc{} || ptr != last ||
+        value > std::numeric_limits<T>::max()) {
+      throw std::invalid_argument(
+          "expected an integer in [0, " +
+          std::to_string(std::numeric_limits<T>::max()) + "], got '" + text +
+          "'");
+    }
+    return static_cast<T>(value);
+  }
+}
+
+std::string format_value(bool value) { return value ? "true" : "false"; }
+std::string format_value(std::uint32_t value) {
+  return std::to_string(value);
+}
+std::string format_value(std::uint64_t value) {
+  return std::to_string(value);
+}
+std::string format_value(double value) { return std::to_string(value); }
+
+noc::SelectionStrategy selection_from_string(const std::string& name) {
+  if (name == "first-candidate") return noc::SelectionStrategy::kFirstCandidate;
+  if (name == "buffer-level") return noc::SelectionStrategy::kBufferLevel;
+  throw std::invalid_argument("unknown selection strategy: '" + name + "'");
+}
+
+// -- the key table
+
+/// One config key bound to one field of `Root`.
+template <typename Root>
+struct Key {
+  const char* name;
+  std::function<void(Root&, const std::string&)> parse;
+  std::function<std::string(const Root&)> format;
+};
+
+/// A bool / u32 / u64 / double key; `field` maps a (const) Root to the
+/// bound member.
+template <typename Root, typename Field>
+Key<Root> key(const char* name, Field field) {
+  using T = std::remove_cvref_t<decltype(field(std::declval<Root&>()))>;
+  return {name,
+          [field](Root& root, const std::string& text) {
+            field(root) = parse_value<T>(text);
+          },
+          [field](const Root& root) { return format_value(field(root)); }};
+}
+
+/// An enum key, spelled by its `to_string` and parsed by `from_string`.
+template <typename Root, typename Field, typename E>
+Key<Root> key(const char* name, Field field,
+              E (*from_string)(const std::string&)) {
+  return {name,
+          [field, from_string](Root& root, const std::string& text) {
+            field(root) = from_string(text);
+          },
+          [field](const Root& root) {
+            return std::string(to_string(field(root)));
+          }};
+}
+
+#define SNNMAP_FIELD(path) [](auto& c) -> auto& { return c.path; }
+
+const std::vector<Key<MappingFlowConfig>>& flow_keys() {
+  using F = MappingFlowConfig;
+  static const std::vector<Key<F>> keys = {
+      key<F>("arch.crossbars", SNNMAP_FIELD(arch.crossbar_count)),
+      key<F>("arch.neurons_per_crossbar",
+             SNNMAP_FIELD(arch.neurons_per_crossbar)),
+      key<F>("arch.interconnect", SNNMAP_FIELD(arch.interconnect),
+             &hw::interconnect_from_string),
+      key<F>("arch.tree_arity", SNNMAP_FIELD(arch.tree_arity)),
+      key<F>("arch.dragonfly_arity", SNNMAP_FIELD(arch.dragonfly_arity)),
+      key<F>("arch.dragonfly_groups", SNNMAP_FIELD(arch.dragonfly_groups)),
+      key<F>("arch.dragonfly_global", SNNMAP_FIELD(arch.dragonfly_global)),
+      key<F>("arch.fattree_k", SNNMAP_FIELD(arch.fattree_k)),
+      key<F>("arch.chips", SNNMAP_FIELD(arch.chip_count)),
+      key<F>("arch.cycles_per_ms", SNNMAP_FIELD(arch.cycles_per_ms)),
+
+      key<F>("noc.buffer_depth", SNNMAP_FIELD(noc.buffer_depth)),
+      key<F>("noc.multicast", SNNMAP_FIELD(noc.multicast)),
+      key<F>("noc.selection", SNNMAP_FIELD(noc.selection),
+             &selection_from_string),
+      key<F>("noc.mesh_routing", SNNMAP_FIELD(mesh_routing),
+             &noc::mesh_routing_from_string),
+      key<F>("noc.engine", SNNMAP_FIELD(noc.engine),
+             &noc::noc_engine_from_string),
+      key<F>("noc.max_cycles", SNNMAP_FIELD(noc.max_cycles)),
+      key<F>("noc.collect_delivered", SNNMAP_FIELD(noc.collect_delivered)),
+      key<F>("noc.offchip_link_latency",
+             SNNMAP_FIELD(noc.offchip_link_latency)),
+
+      // Fault injection: the all-zero defaults keep the model inert.
+      key<F>("faults.seed", SNNMAP_FIELD(noc.faults.seed)),
+      key<F>("faults.link_fault_rate",
+             SNNMAP_FIELD(noc.faults.link_fault_rate)),
+      key<F>("faults.router_fault_rate",
+             SNNMAP_FIELD(noc.faults.router_fault_rate)),
+      key<F>("faults.tile_fault_rate",
+             SNNMAP_FIELD(noc.faults.tile_fault_rate)),
+      key<F>("faults.transient_link_rate",
+             SNNMAP_FIELD(noc.faults.transient_link_rate)),
+      key<F>("faults.transient_duration_cycles",
+             SNNMAP_FIELD(noc.faults.transient_duration_cycles)),
+      key<F>("faults.flit_drop_probability",
+             SNNMAP_FIELD(noc.faults.flit_drop_probability)),
+      key<F>("faults.horizon_cycles",
+             SNNMAP_FIELD(noc.faults.horizon_cycles)),
+
+      // Observability: tracing and the congestion monitor default off.
+      key<F>("trace.enabled", SNNMAP_FIELD(noc.trace.enabled)),
+      key<F>("trace.ring_capacity", SNNMAP_FIELD(noc.trace.ring_capacity)),
+      key<F>("monitor.enabled", SNNMAP_FIELD(noc.monitor.enabled)),
+      key<F>("monitor.ewma_alpha", SNNMAP_FIELD(noc.monitor.ewma_alpha)),
+      key<F>("monitor.hot_occupancy",
+             SNNMAP_FIELD(noc.monitor.hot_occupancy)),
+      key<F>("monitor.persistence_windows",
+             SNNMAP_FIELD(noc.monitor.persistence_windows)),
+
+      // Energy binds to the one shared model the cost model and the
+      // simulators all reference (the NoC config's).
+      key<F>("energy.crossbar_event_pj",
+             SNNMAP_FIELD(noc.energy.crossbar_event_pj)),
+      key<F>("energy.link_hop_pj", SNNMAP_FIELD(noc.energy.link_hop_pj)),
+      key<F>("energy.offchip_link_hop_pj",
+             SNNMAP_FIELD(noc.energy.offchip_link_hop_pj)),
+      key<F>("energy.router_flit_pj", SNNMAP_FIELD(noc.energy.router_flit_pj)),
+      key<F>("energy.aer_codec_pj", SNNMAP_FIELD(noc.energy.aer_codec_pj)),
+      key<F>("energy.retransmit_pj", SNNMAP_FIELD(noc.energy.retransmit_pj)),
+
+      key<F>("pso.swarm_size", SNNMAP_FIELD(pso.swarm_size)),
+      key<F>("pso.iterations", SNNMAP_FIELD(pso.iterations)),
+      key<F>("pso.inertia", SNNMAP_FIELD(pso.inertia)),
+      key<F>("pso.phi1", SNNMAP_FIELD(pso.phi1)),
+      key<F>("pso.phi2", SNNMAP_FIELD(pso.phi2)),
+      key<F>("pso.v_max", SNNMAP_FIELD(pso.v_max)),
+      key<F>("pso.seed_with_baselines", SNNMAP_FIELD(pso.seed_with_baselines)),
+      key<F>("pso.objective", SNNMAP_FIELD(pso.objective),
+             &objective_from_string),
+      key<F>("pso.refine_sweeps", SNNMAP_FIELD(pso.refine_sweeps)),
+      key<F>("pso.refine_swap_factor", SNNMAP_FIELD(pso.refine_swap_factor)),
+      key<F>("pso.patience", SNNMAP_FIELD(pso.patience)),
+      key<F>("pso.threads", SNNMAP_FIELD(pso.threads)),
+
+      key<F>("annealing.moves", SNNMAP_FIELD(annealing.moves)),
+      key<F>("annealing.cooling", SNNMAP_FIELD(annealing.cooling)),
+      key<F>("annealing.swap_probability",
+             SNNMAP_FIELD(annealing.swap_probability)),
+      key<F>("annealing.restarts", SNNMAP_FIELD(annealing.restarts)),
+      key<F>("annealing.threads", SNNMAP_FIELD(annealing.threads)),
+      key<F>("genetic.population", SNNMAP_FIELD(genetic.population)),
+      key<F>("genetic.generations", SNNMAP_FIELD(genetic.generations)),
+      key<F>("genetic.mutation_rate", SNNMAP_FIELD(genetic.mutation_rate)),
+      key<F>("genetic.threads", SNNMAP_FIELD(genetic.threads)),
+
+      key<F>("flow.partitioner", SNNMAP_FIELD(partitioner),
+             &partitioner_from_string),
+      key<F>("flow.comm_aware_placement", SNNMAP_FIELD(comm_aware_placement)),
+      key<F>("flow.injection_jitter_cycles",
+             SNNMAP_FIELD(injection_jitter_cycles)),
+      key<F>("flow.seed", SNNMAP_FIELD(seed)),
+  };
+  return keys;
+}
+
+const std::vector<Key<cosim::CoSimConfig>>& cosim_keys() {
+  using C = cosim::CoSimConfig;
+  static const std::vector<Key<C>> keys = {
+      key<C>("cosim.cycles_per_timestep", SNNMAP_FIELD(cycles_per_timestep)),
+      // The unbounded default serializes as its sentinel,
+      // kUnboundedReceiveQueue; 0 is rejected by the CoSimulator.
+      key<C>("cosim.receive_queue_depth", SNNMAP_FIELD(receive_queue_depth)),
+      key<C>("cosim.injection_jitter_cycles",
+             SNNMAP_FIELD(injection_jitter_cycles)),
+
+      key<C>("dvfs.policy", SNNMAP_FIELD(dvfs.kind),
+             &cosim::dvfs_policy_from_string),
+      key<C>("dvfs.min_scale", SNNMAP_FIELD(dvfs.min_scale)),
+      key<C>("dvfs.low_utilization", SNNMAP_FIELD(dvfs.low_utilization)),
+      key<C>("dvfs.high_utilization", SNNMAP_FIELD(dvfs.high_utilization)),
+      key<C>("dvfs.slack_fraction", SNNMAP_FIELD(dvfs.slack_fraction)),
+
+      key<C>("retry.enabled", SNNMAP_FIELD(retry.enabled)),
+      key<C>("retry.max_retries", SNNMAP_FIELD(retry.max_retries)),
+      key<C>("retry.backoff_windows", SNNMAP_FIELD(retry.backoff_windows)),
+      key<C>("retry.timeout_windows", SNNMAP_FIELD(retry.timeout_windows)),
+  };
+  return keys;
+}
+
+#undef SNNMAP_FIELD
+
+/// Overlays every key present in `config` onto `root`; a bad value throws
+/// std::invalid_argument naming its key.
+template <typename Root>
+void overlay(const std::vector<Key<Root>>& keys, const util::Config& config,
+             Root& root) {
+  for (const Key<Root>& k : keys) {
+    const auto text = config.get_string(k.name);
+    if (!text) continue;
+    try {
+      k.parse(root, *text);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("config: key '" + std::string(k.name) +
+                                  "': " + e.what());
+    }
+  }
+}
+
+template <typename Root>
+void write(const std::vector<Key<Root>>& keys, const Root& root,
+           util::Config& config) {
+  for (const Key<Root>& k : keys) config.set(k.name, k.format(root));
+}
+
+}  // namespace
 
 PartitionerKind partitioner_from_string(const std::string& name) {
   if (name == "pso") return PartitionerKind::kPso;
@@ -21,310 +278,24 @@ Objective objective_from_string(const std::string& name) {
 
 MappingFlowConfig mapping_flow_from_config(const util::Config& config) {
   MappingFlowConfig flow;
-
-  // -- architecture
-  flow.arch.crossbar_count = static_cast<std::uint32_t>(
-      config.int_or("arch.crossbars", flow.arch.crossbar_count));
-  flow.arch.neurons_per_crossbar = static_cast<std::uint32_t>(
-      config.int_or("arch.neurons_per_crossbar",
-                    flow.arch.neurons_per_crossbar));
-  if (const auto kind = config.get_string("arch.interconnect")) {
-    flow.arch.interconnect = hw::interconnect_from_string(*kind);
-  }
-  flow.arch.tree_arity = static_cast<std::uint32_t>(
-      config.int_or("arch.tree_arity", flow.arch.tree_arity));
-  flow.arch.dragonfly_arity = static_cast<std::uint32_t>(
-      config.int_or("arch.dragonfly_arity", flow.arch.dragonfly_arity));
-  flow.arch.dragonfly_groups = static_cast<std::uint32_t>(
-      config.int_or("arch.dragonfly_groups", flow.arch.dragonfly_groups));
-  flow.arch.dragonfly_global = static_cast<std::uint32_t>(
-      config.int_or("arch.dragonfly_global", flow.arch.dragonfly_global));
-  flow.arch.fattree_k = static_cast<std::uint32_t>(
-      config.int_or("arch.fattree_k", flow.arch.fattree_k));
-  flow.arch.chip_count = static_cast<std::uint32_t>(
-      config.int_or("arch.chips", flow.arch.chip_count));
-  flow.arch.cycles_per_ms = static_cast<std::uint32_t>(
-      config.int_or("arch.cycles_per_ms", flow.arch.cycles_per_ms));
-
-  // -- NoC
-  flow.noc.buffer_depth = static_cast<std::uint32_t>(
-      config.int_or("noc.buffer_depth", flow.noc.buffer_depth));
-  flow.noc.multicast = config.bool_or("noc.multicast", flow.noc.multicast);
-  if (const auto selection = config.get_string("noc.selection")) {
-    if (*selection == "first-candidate") {
-      flow.noc.selection = noc::SelectionStrategy::kFirstCandidate;
-    } else if (*selection == "buffer-level") {
-      flow.noc.selection = noc::SelectionStrategy::kBufferLevel;
-    } else {
-      throw std::invalid_argument("unknown selection strategy: '" +
-                                  *selection + "'");
-    }
-  }
-  if (const auto routing = config.get_string("noc.mesh_routing")) {
-    flow.mesh_routing = noc::mesh_routing_from_string(*routing);
-  }
-  if (const auto engine = config.get_string("noc.engine")) {
-    flow.noc.engine = noc::noc_engine_from_string(*engine);
-  }
-  flow.noc.max_cycles = static_cast<std::uint64_t>(
-      config.int_or("noc.max_cycles",
-                    static_cast<std::int64_t>(flow.noc.max_cycles)));
-  flow.noc.collect_delivered = config.bool_or("noc.collect_delivered",
-                                              flow.noc.collect_delivered);
-  flow.noc.offchip_link_latency = static_cast<std::uint32_t>(
-      config.int_or("noc.offchip_link_latency",
-                    flow.noc.offchip_link_latency));
-
-  // -- fault injection (all-zero defaults = inert model)
-  noc::FaultConfig& faults = flow.noc.faults;
-  faults.seed = static_cast<std::uint64_t>(
-      config.int_or("faults.seed", static_cast<std::int64_t>(faults.seed)));
-  faults.link_fault_rate =
-      config.double_or("faults.link_fault_rate", faults.link_fault_rate);
-  faults.router_fault_rate =
-      config.double_or("faults.router_fault_rate", faults.router_fault_rate);
-  faults.tile_fault_rate =
-      config.double_or("faults.tile_fault_rate", faults.tile_fault_rate);
-  faults.transient_link_rate = config.double_or("faults.transient_link_rate",
-                                                faults.transient_link_rate);
-  faults.transient_duration_cycles = static_cast<std::uint64_t>(
-      config.int_or("faults.transient_duration_cycles",
-                    static_cast<std::int64_t>(
-                        faults.transient_duration_cycles)));
-  faults.flit_drop_probability = config.double_or(
-      "faults.flit_drop_probability", faults.flit_drop_probability);
-  faults.horizon_cycles = static_cast<std::uint64_t>(
-      config.int_or("faults.horizon_cycles",
-                    static_cast<std::int64_t>(faults.horizon_cycles)));
-
-  // -- observability (tracing + congestion monitor; defaults are inert)
-  obs::TraceConfig& trace = flow.noc.trace;
-  trace.enabled = config.bool_or("trace.enabled", trace.enabled);
-  trace.ring_capacity = static_cast<std::uint32_t>(
-      config.int_or("trace.ring_capacity", trace.ring_capacity));
-  obs::MonitorConfig& monitor = flow.noc.monitor;
-  monitor.enabled = config.bool_or("monitor.enabled", monitor.enabled);
-  monitor.ewma_alpha =
-      config.double_or("monitor.ewma_alpha", monitor.ewma_alpha);
-  monitor.hot_occupancy =
-      config.double_or("monitor.hot_occupancy", monitor.hot_occupancy);
-  monitor.persistence_windows = static_cast<std::uint32_t>(
-      config.int_or("monitor.persistence_windows",
-                    monitor.persistence_windows));
-
-  // -- energy (single source of truth: the NoC config's model, which the
-  //    cost model and simulators all reference)
-  flow.noc.energy = hw::EnergyModel::from_config(config);
-
-  // -- PSO
-  flow.pso.swarm_size = static_cast<std::uint32_t>(
-      config.int_or("pso.swarm_size", flow.pso.swarm_size));
-  flow.pso.iterations = static_cast<std::uint32_t>(
-      config.int_or("pso.iterations", flow.pso.iterations));
-  flow.pso.inertia = config.double_or("pso.inertia", flow.pso.inertia);
-  flow.pso.phi1 = config.double_or("pso.phi1", flow.pso.phi1);
-  flow.pso.phi2 = config.double_or("pso.phi2", flow.pso.phi2);
-  flow.pso.v_max = config.double_or("pso.v_max", flow.pso.v_max);
-  flow.pso.seed_with_baselines = config.bool_or(
-      "pso.seed_with_baselines", flow.pso.seed_with_baselines);
-  if (const auto objective = config.get_string("pso.objective")) {
-    flow.pso.objective = objective_from_string(*objective);
-  }
-  flow.pso.refine_sweeps = static_cast<std::uint32_t>(
-      config.int_or("pso.refine_sweeps", flow.pso.refine_sweeps));
-  flow.pso.refine_swap_factor = static_cast<std::uint32_t>(
-      config.int_or("pso.refine_swap_factor", flow.pso.refine_swap_factor));
-  flow.pso.patience = static_cast<std::uint32_t>(
-      config.int_or("pso.patience", flow.pso.patience));
-  flow.pso.threads = static_cast<std::uint32_t>(
-      config.int_or("pso.threads", flow.pso.threads));
-
-  // -- annealing / genetic (ablation partitioners)
-  flow.annealing.moves = static_cast<std::uint64_t>(config.int_or(
-      "annealing.moves", static_cast<std::int64_t>(flow.annealing.moves)));
-  flow.annealing.cooling =
-      config.double_or("annealing.cooling", flow.annealing.cooling);
-  flow.annealing.swap_probability = config.double_or(
-      "annealing.swap_probability", flow.annealing.swap_probability);
-  flow.annealing.restarts = static_cast<std::uint32_t>(
-      config.int_or("annealing.restarts", flow.annealing.restarts));
-  flow.annealing.threads = static_cast<std::uint32_t>(
-      config.int_or("annealing.threads", flow.annealing.threads));
-  flow.genetic.population = static_cast<std::uint32_t>(
-      config.int_or("genetic.population", flow.genetic.population));
-  flow.genetic.generations = static_cast<std::uint32_t>(
-      config.int_or("genetic.generations", flow.genetic.generations));
-  flow.genetic.mutation_rate =
-      config.double_or("genetic.mutation_rate", flow.genetic.mutation_rate);
-  flow.genetic.threads = static_cast<std::uint32_t>(
-      config.int_or("genetic.threads", flow.genetic.threads));
-
-  // -- flow-level switches
-  if (const auto partitioner = config.get_string("flow.partitioner")) {
-    flow.partitioner = partitioner_from_string(*partitioner);
-  }
-  flow.comm_aware_placement = config.bool_or("flow.comm_aware_placement",
-                                             flow.comm_aware_placement);
-  flow.injection_jitter_cycles = static_cast<std::uint32_t>(
-      config.int_or("flow.injection_jitter_cycles",
-                    flow.injection_jitter_cycles));
-  flow.seed = static_cast<std::uint64_t>(
-      config.int_or("flow.seed", static_cast<std::int64_t>(flow.seed)));
+  overlay(flow_keys(), config, flow);
+  flow.noc.energy.validate();
   return flow;
-}
-
-cosim::CoSimConfig cosim_from_config(const util::Config& config,
-                                     cosim::CoSimConfig base) {
-  base.cycles_per_timestep = static_cast<std::uint32_t>(
-      config.int_or("cosim.cycles_per_timestep",
-                    base.cycles_per_timestep));
-  // "unbounded" (the default) serializes as the sentinel; any positive
-  // depth bounds the queue and 0 is rejected by the CoSimulator.
-  base.receive_queue_depth = static_cast<std::uint32_t>(
-      config.int_or("cosim.receive_queue_depth",
-                    base.receive_queue_depth));
-  base.injection_jitter_cycles = static_cast<std::uint32_t>(
-      config.int_or("cosim.injection_jitter_cycles",
-                    base.injection_jitter_cycles));
-  // -- DVFS fabric scaling
-  if (const auto policy = config.get_string("dvfs.policy")) {
-    base.dvfs.kind = cosim::dvfs_policy_from_string(*policy);
-  }
-  base.dvfs.min_scale =
-      config.double_or("dvfs.min_scale", base.dvfs.min_scale);
-  base.dvfs.low_utilization =
-      config.double_or("dvfs.low_utilization", base.dvfs.low_utilization);
-  base.dvfs.high_utilization =
-      config.double_or("dvfs.high_utilization", base.dvfs.high_utilization);
-  base.dvfs.slack_fraction =
-      config.double_or("dvfs.slack_fraction", base.dvfs.slack_fraction);
-  // -- AER retry protocol
-  base.retry.enabled = config.bool_or("retry.enabled", base.retry.enabled);
-  base.retry.max_retries = static_cast<std::uint32_t>(
-      config.int_or("retry.max_retries", base.retry.max_retries));
-  base.retry.backoff_windows = static_cast<std::uint32_t>(
-      config.int_or("retry.backoff_windows", base.retry.backoff_windows));
-  base.retry.timeout_windows = static_cast<std::uint32_t>(
-      config.int_or("retry.timeout_windows", base.retry.timeout_windows));
-  return base;
-}
-
-void cosim_to_config(const cosim::CoSimConfig& cosim, util::Config& config) {
-  config.set("cosim.cycles_per_timestep",
-             std::to_string(cosim.cycles_per_timestep));
-  config.set("cosim.receive_queue_depth",
-             std::to_string(cosim.receive_queue_depth));
-  config.set("cosim.injection_jitter_cycles",
-             std::to_string(cosim.injection_jitter_cycles));
-  config.set("dvfs.policy", cosim::to_string(cosim.dvfs.kind));
-  config.set("dvfs.min_scale", std::to_string(cosim.dvfs.min_scale));
-  config.set("dvfs.low_utilization",
-             std::to_string(cosim.dvfs.low_utilization));
-  config.set("dvfs.high_utilization",
-             std::to_string(cosim.dvfs.high_utilization));
-  config.set("dvfs.slack_fraction",
-             std::to_string(cosim.dvfs.slack_fraction));
-  config.set("retry.enabled", cosim.retry.enabled ? "true" : "false");
-  config.set("retry.max_retries", std::to_string(cosim.retry.max_retries));
-  config.set("retry.backoff_windows",
-             std::to_string(cosim.retry.backoff_windows));
-  config.set("retry.timeout_windows",
-             std::to_string(cosim.retry.timeout_windows));
 }
 
 void mapping_flow_to_config(const MappingFlowConfig& flow,
                             util::Config& config) {
-  config.set("arch.crossbars", std::to_string(flow.arch.crossbar_count));
-  config.set("arch.neurons_per_crossbar",
-             std::to_string(flow.arch.neurons_per_crossbar));
-  config.set("arch.interconnect", hw::to_string(flow.arch.interconnect));
-  config.set("arch.tree_arity", std::to_string(flow.arch.tree_arity));
-  config.set("arch.dragonfly_arity",
-             std::to_string(flow.arch.dragonfly_arity));
-  config.set("arch.dragonfly_groups",
-             std::to_string(flow.arch.dragonfly_groups));
-  config.set("arch.dragonfly_global",
-             std::to_string(flow.arch.dragonfly_global));
-  config.set("arch.fattree_k", std::to_string(flow.arch.fattree_k));
-  config.set("arch.chips", std::to_string(flow.arch.chip_count));
-  config.set("arch.cycles_per_ms", std::to_string(flow.arch.cycles_per_ms));
+  write(flow_keys(), flow, config);
+}
 
-  config.set("noc.buffer_depth", std::to_string(flow.noc.buffer_depth));
-  config.set("noc.multicast", flow.noc.multicast ? "true" : "false");
-  config.set("noc.selection", noc::to_string(flow.noc.selection));
-  config.set("noc.mesh_routing", noc::to_string(flow.mesh_routing));
-  config.set("noc.engine", noc::to_string(flow.noc.engine));
-  config.set("noc.max_cycles", std::to_string(flow.noc.max_cycles));
-  config.set("noc.collect_delivered",
-             flow.noc.collect_delivered ? "true" : "false");
-  config.set("noc.offchip_link_latency",
-             std::to_string(flow.noc.offchip_link_latency));
+cosim::CoSimConfig cosim_from_config(const util::Config& config,
+                                     cosim::CoSimConfig base) {
+  overlay(cosim_keys(), config, base);
+  return base;
+}
 
-  const noc::FaultConfig& faults = flow.noc.faults;
-  config.set("faults.seed", std::to_string(faults.seed));
-  config.set("faults.link_fault_rate",
-             std::to_string(faults.link_fault_rate));
-  config.set("faults.router_fault_rate",
-             std::to_string(faults.router_fault_rate));
-  config.set("faults.tile_fault_rate",
-             std::to_string(faults.tile_fault_rate));
-  config.set("faults.transient_link_rate",
-             std::to_string(faults.transient_link_rate));
-  config.set("faults.transient_duration_cycles",
-             std::to_string(faults.transient_duration_cycles));
-  config.set("faults.flit_drop_probability",
-             std::to_string(faults.flit_drop_probability));
-  config.set("faults.horizon_cycles",
-             std::to_string(faults.horizon_cycles));
-
-  config.set("trace.enabled", flow.noc.trace.enabled ? "true" : "false");
-  config.set("trace.ring_capacity",
-             std::to_string(flow.noc.trace.ring_capacity));
-  config.set("monitor.enabled",
-             flow.noc.monitor.enabled ? "true" : "false");
-  config.set("monitor.ewma_alpha",
-             std::to_string(flow.noc.monitor.ewma_alpha));
-  config.set("monitor.hot_occupancy",
-             std::to_string(flow.noc.monitor.hot_occupancy));
-  config.set("monitor.persistence_windows",
-             std::to_string(flow.noc.monitor.persistence_windows));
-
-  flow.noc.energy.to_config(config);
-
-  config.set("pso.swarm_size", std::to_string(flow.pso.swarm_size));
-  config.set("pso.iterations", std::to_string(flow.pso.iterations));
-  config.set("pso.inertia", std::to_string(flow.pso.inertia));
-  config.set("pso.phi1", std::to_string(flow.pso.phi1));
-  config.set("pso.phi2", std::to_string(flow.pso.phi2));
-  config.set("pso.v_max", std::to_string(flow.pso.v_max));
-  config.set("pso.seed_with_baselines",
-             flow.pso.seed_with_baselines ? "true" : "false");
-  config.set("pso.objective", to_string(flow.pso.objective));
-  config.set("pso.refine_sweeps", std::to_string(flow.pso.refine_sweeps));
-  config.set("pso.refine_swap_factor",
-             std::to_string(flow.pso.refine_swap_factor));
-  config.set("pso.patience", std::to_string(flow.pso.patience));
-  config.set("pso.threads", std::to_string(flow.pso.threads));
-
-  config.set("annealing.moves", std::to_string(flow.annealing.moves));
-  config.set("annealing.cooling", std::to_string(flow.annealing.cooling));
-  config.set("annealing.swap_probability",
-             std::to_string(flow.annealing.swap_probability));
-  config.set("annealing.restarts", std::to_string(flow.annealing.restarts));
-  config.set("annealing.threads", std::to_string(flow.annealing.threads));
-  config.set("genetic.population", std::to_string(flow.genetic.population));
-  config.set("genetic.generations",
-             std::to_string(flow.genetic.generations));
-  config.set("genetic.mutation_rate",
-             std::to_string(flow.genetic.mutation_rate));
-  config.set("genetic.threads", std::to_string(flow.genetic.threads));
-
-  config.set("flow.partitioner", to_string(flow.partitioner));
-  config.set("flow.comm_aware_placement",
-             flow.comm_aware_placement ? "true" : "false");
-  config.set("flow.injection_jitter_cycles",
-             std::to_string(flow.injection_jitter_cycles));
-  config.set("flow.seed", std::to_string(flow.seed));
+void cosim_to_config(const cosim::CoSimConfig& cosim, util::Config& config) {
+  write(cosim_keys(), cosim, config);
 }
 
 }  // namespace snnmap::core

@@ -25,30 +25,4 @@ void EnergyModel::validate() const {
   check_pj("retransmit_pj", retransmit_pj);
 }
 
-EnergyModel EnergyModel::from_config(const util::Config& config) {
-  EnergyModel m;
-  m.crossbar_event_pj =
-      config.double_or("energy.crossbar_event_pj", m.crossbar_event_pj);
-  m.link_hop_pj = config.double_or("energy.link_hop_pj", m.link_hop_pj);
-  m.offchip_link_hop_pj = config.double_or("energy.offchip_link_hop_pj",
-                                           m.offchip_link_hop_pj);
-  m.router_flit_pj =
-      config.double_or("energy.router_flit_pj", m.router_flit_pj);
-  m.aer_codec_pj = config.double_or("energy.aer_codec_pj", m.aer_codec_pj);
-  m.retransmit_pj =
-      config.double_or("energy.retransmit_pj", m.retransmit_pj);
-  m.validate();
-  return m;
-}
-
-void EnergyModel::to_config(util::Config& config) const {
-  config.set("energy.crossbar_event_pj", std::to_string(crossbar_event_pj));
-  config.set("energy.link_hop_pj", std::to_string(link_hop_pj));
-  config.set("energy.offchip_link_hop_pj",
-             std::to_string(offchip_link_hop_pj));
-  config.set("energy.router_flit_pj", std::to_string(router_flit_pj));
-  config.set("energy.aer_codec_pj", std::to_string(aer_codec_pj));
-  config.set("energy.retransmit_pj", std::to_string(retransmit_pj));
-}
-
 }  // namespace snnmap::hw

@@ -3,7 +3,8 @@
 // The paper uses "power numbers from in-house neuromorphic chips" (CxQuad);
 // those are unreleased, so the defaults here are set in the published
 // neuromorphic range (e.g. TrueNorth's 26 pJ per synaptic event) and, as in
-// Noxim/Noxim++, every value can be overridden from a YAML(-subset) file.
+// Noxim/Noxim++, every value can be overridden from a YAML(-subset) file
+// (the `energy:` keys bound by core/config_io).
 // Only relative shapes matter for the reproduced figures.
 //
 // Interconnect energy is *activity-based*: the simulators count codec
@@ -16,8 +17,6 @@
 
 #include <cstdint>
 #include <string>
-
-#include "util/config.hpp"
 
 namespace snnmap::hw {
 
@@ -52,17 +51,6 @@ struct EnergyModel {
   /// validation: a nonsensical constant must fail loudly, not silently
   /// poison every derived statistic).
   void validate() const;
-
-  /// Loads overrides from a parsed config; recognized keys are
-  ///   energy.crossbar_event_pj, energy.link_hop_pj,
-  ///   energy.offchip_link_hop_pj, energy.router_flit_pj,
-  ///   energy.aer_codec_pj, energy.retransmit_pj
-  /// Unknown keys are ignored (the file may also configure the NoC).
-  /// The result is validate()d: NaN/inf/negative values throw.
-  static EnergyModel from_config(const util::Config& config);
-
-  /// Serializes to the same key set.
-  void to_config(util::Config& config) const;
 
   /// Interconnect energy of an activity count: `codec_events` AER
   /// encode/decode operations, `link_hops` on-chip flit-link traversals,

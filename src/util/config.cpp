@@ -1,8 +1,5 @@
 #include "util/config.hpp"
 
-#include <algorithm>
-#include <cctype>
-#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -100,92 +97,6 @@ std::optional<std::string> Config::get_string(const std::string& key) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
   return it->second;
-}
-
-std::optional<double> Config::get_double(const std::string& key) const {
-  const auto s = get_string(key);
-  if (!s) return std::nullopt;
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(*s, &pos);
-    if (pos != s->size()) throw std::invalid_argument("trailing characters");
-    return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error("config: key '" + key + "' is not a number: '" +
-                             *s + "'");
-  }
-}
-
-std::optional<std::int64_t> Config::get_int(const std::string& key) const {
-  const auto s = get_string(key);
-  if (!s) return std::nullopt;
-  std::int64_t v = 0;
-  const char* first = s->data();
-  const char* last = s->data() + s->size();
-  const auto [ptr, ec] = std::from_chars(first, last, v);
-  if (ec != std::errc{} || ptr != last) {
-    throw std::runtime_error("config: key '" + key +
-                             "' is not an integer: '" + *s + "'");
-  }
-  return v;
-}
-
-std::optional<bool> Config::get_bool(const std::string& key) const {
-  const auto s = get_string(key);
-  if (!s) return std::nullopt;
-  std::string lower = *s;
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "true" || lower == "yes" || lower == "on" || lower == "1") {
-    return true;
-  }
-  if (lower == "false" || lower == "no" || lower == "off" || lower == "0") {
-    return false;
-  }
-  throw std::runtime_error("config: key '" + key + "' is not a bool: '" + *s +
-                           "'");
-}
-
-std::optional<std::vector<double>> Config::get_double_list(
-    const std::string& key) const {
-  const auto s = get_string(key);
-  if (!s) return std::nullopt;
-  std::string body = trim(*s);
-  if (body.size() < 2 || body.front() != '[' || body.back() != ']') {
-    throw std::runtime_error("config: key '" + key + "' is not a list: '" +
-                             *s + "'");
-  }
-  body = body.substr(1, body.size() - 2);
-  std::vector<double> out;
-  std::istringstream in(body);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const std::string t = trim(item);
-    if (t.empty()) continue;
-    try {
-      out.push_back(std::stod(t));
-    } catch (const std::exception&) {
-      throw std::runtime_error("config: list '" + key +
-                               "' has a non-numeric element: '" + t + "'");
-    }
-  }
-  return out;
-}
-
-std::string Config::string_or(const std::string& key, std::string def) const {
-  return get_string(key).value_or(std::move(def));
-}
-
-double Config::double_or(const std::string& key, double def) const {
-  return get_double(key).value_or(def);
-}
-
-std::int64_t Config::int_or(const std::string& key, std::int64_t def) const {
-  return get_int(key).value_or(def);
-}
-
-bool Config::bool_or(const std::string& key, bool def) const {
-  return get_bool(key).value_or(def);
 }
 
 void Config::set(const std::string& key, const std::string& value) {

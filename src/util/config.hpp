@@ -6,12 +6,12 @@
 // parser covering the subset those files actually use:
 //
 //   # comment
-//   key: value            (scalar: int, float, bool, string)
+//   key: value            (scalar, kept as its text)
 //   section:
 //     nested_key: 3.14    (one level of two-space indentation)
-//   list_key: [1, 2, 3]   (flow-style scalar lists)
 //
-// Keys are exposed flattened as "section.nested_key".
+// Keys are exposed flattened as "section.nested_key".  Values stay strings
+// here; core/config_io's key table parses each bound key into its type.
 #pragma once
 
 #include <map>
@@ -35,20 +35,8 @@ class Config {
 
   bool contains(const std::string& key) const;
 
-  /// Typed getters return std::nullopt when the key is absent and throw
-  /// std::runtime_error when present but not convertible.
+  /// The value's text, or std::nullopt when the key is absent.
   std::optional<std::string> get_string(const std::string& key) const;
-  std::optional<double> get_double(const std::string& key) const;
-  std::optional<std::int64_t> get_int(const std::string& key) const;
-  std::optional<bool> get_bool(const std::string& key) const;
-  std::optional<std::vector<double>> get_double_list(
-      const std::string& key) const;
-
-  /// Convenience getters with defaults.
-  std::string string_or(const std::string& key, std::string def) const;
-  double double_or(const std::string& key, double def) const;
-  std::int64_t int_or(const std::string& key, std::int64_t def) const;
-  bool bool_or(const std::string& key, bool def) const;
 
   /// Programmatic insertion (used by tests and by presets).
   void set(const std::string& key, const std::string& value);

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iterator>
 #include <limits>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace snnmap::core {
 namespace {
@@ -456,12 +461,173 @@ TEST(ConfigIo, AnnealingAndGeneticKeys) {
   EXPECT_EQ(flow.genetic.mutation_rate, 0.125);
 }
 
-// The serialized config schema, pinned key for key.  snnmap-lint's
-// config-key-coverage rule statically cross-checks that every key config_io
-// reads or writes appears in this file; this test closes the loop at
-// runtime: the byte-stable round-trip above covers exactly this key set, so
-// a key added to config_io without extending this list fails here, and a
-// key dropped from to_config breaks the list (and byte-stability) too.
+// Binds `cfg` through both config roots and returns the combined dump.
+util::Config bind_and_dump(const util::Config& cfg) {
+  util::Config out;
+  mapping_flow_to_config(mapping_flow_from_config(cfg), out);
+  cosim_to_config(cosim_from_config(cfg), out);
+  return out;
+}
+
+util::Config one_key(const std::string& key, const std::string& value) {
+  util::Config cfg;
+  cfg.set(key, value);
+  return cfg;
+}
+
+bool accepts(const std::string& key, const std::string& value) {
+  try {
+    bind_and_dump(one_key(key, value));
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+}
+
+// `key: value` must throw std::invalid_argument whose message names the key.
+void expect_rejected(const std::string& key, const std::string& value) {
+  try {
+    bind_and_dump(one_key(key, value));
+    ADD_FAILURE() << key << ": " << value << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + key + "'"), std::string::npos)
+        << e.what();
+  }
+}
+
+std::vector<std::string> schema_keys() {
+  return bind_and_dump(util::Config{}).keys();
+}
+
+TEST(ConfigIo, DefaultsApplyOnlyWhenAbsent) {
+  const auto flow =
+      mapping_flow_from_config(util::Config::parse("pso:\n  swarm_size: 3\n"));
+  const MappingFlowConfig d;
+  EXPECT_EQ(flow.pso.swarm_size, 3u);
+  EXPECT_EQ(flow.pso.iterations, d.pso.iterations);
+  EXPECT_EQ(flow.pso.inertia, d.pso.inertia);
+  EXPECT_EQ(flow.pso.seed_with_baselines, d.pso.seed_with_baselines);
+  EXPECT_EQ(flow.partitioner, d.partitioner);
+}
+
+TEST(ConfigIo, TypeErrorsThrow) {
+  for (const char* key : {"pso.inertia", "pso.swarm_size", "noc.multicast"}) {
+    expect_rejected(key, "hello");
+  }
+}
+
+TEST(ConfigIo, BoolAcceptsCommonSpellings) {
+  const std::pair<const char*, bool> spellings[] = {
+      {"yes", true}, {"NO", false}, {"On", true},
+      {"off", false}, {"1", true},  {"0", false}};
+  for (const auto& [text, value] : spellings) {
+    EXPECT_EQ(mapping_flow_from_config(one_key("flow.comm_aware_placement",
+                                               text))
+                  .comm_aware_placement,
+              value)
+        << text;
+  }
+}
+
+TEST(ConfigIo, EnergyKeysOverrideSelectively) {
+  util::Config cfg = util::Config::parse(
+      "energy:\n"
+      "  link_hop_pj: 99.0\n"
+      "  aer_codec_pj: 0.5\n");
+  const hw::EnergyModel m = mapping_flow_from_config(cfg).noc.energy;
+  const hw::EnergyModel d;
+  EXPECT_EQ(m.link_hop_pj, 99.0);
+  EXPECT_EQ(m.aer_codec_pj, 0.5);
+  EXPECT_EQ(m.crossbar_event_pj, d.crossbar_event_pj);  // untouched
+  EXPECT_EQ(m.router_flit_pj, d.router_flit_pj);
+}
+
+TEST(ConfigIo, EnergyKeysRejectBadValues) {
+  // NaN/inf/negative used to be accepted silently and poisoned every
+  // derived energy statistic downstream.
+  for (const char* bad : {"nan", "inf", "-inf", "-3.5"}) {
+    util::Config cfg;
+    cfg.set("energy.link_hop_pj", bad);
+    EXPECT_THROW(mapping_flow_from_config(cfg), std::invalid_argument)
+        << bad;
+  }
+  util::Config ok;
+  ok.set("energy.link_hop_pj", "7.25");
+  EXPECT_EQ(mapping_flow_from_config(ok).noc.energy.link_hop_pj, 7.25);
+}
+
+TEST(ConfigIo, EnergyKeysRoundTrip) {
+  MappingFlowConfig flow;
+  hw::EnergyModel& m = flow.noc.energy;
+  m.link_hop_pj = 12.25;
+  m.crossbar_event_pj = 3.5;
+  m.offchip_link_hop_pj = 52.5;
+  m.retransmit_pj = 4.75;
+  util::Config cfg;
+  mapping_flow_to_config(flow, cfg);
+  const hw::EnergyModel back = mapping_flow_from_config(cfg).noc.energy;
+  EXPECT_NEAR(back.link_hop_pj, 12.25, 1e-9);
+  EXPECT_NEAR(back.crossbar_event_pj, 3.5, 1e-9);
+  EXPECT_NEAR(back.offchip_link_hop_pj, 52.5, 1e-9);
+  EXPECT_NEAR(back.retransmit_pj, 4.75, 1e-9);
+}
+
+TEST(ConfigIo, RetransmitKeyOverlaysFromConfig) {
+  const hw::EnergyModel d;
+  EXPECT_GT(d.retransmit_pj, 0.0);  // retries are never free by default
+  util::Config cfg = util::Config::parse(
+      "energy:\n"
+      "  retransmit_pj: 1.5\n");
+  const hw::EnergyModel m = mapping_flow_from_config(cfg).noc.energy;
+  EXPECT_EQ(m.retransmit_pj, 1.5);
+  EXPECT_EQ(m.link_hop_pj, d.link_hop_pj);  // untouched
+}
+
+TEST(ConfigIo, RejectsWraparoundInputs) {
+  // Each of these used to wrap silently (-1 became 4294967295, 4294967300
+  // became 4).
+  expect_rejected("noc.buffer_depth", "-1");
+  expect_rejected("noc.buffer_depth", "4294967300");
+  expect_rejected("arch.cycles_per_ms", "-3");
+  expect_rejected("noc.max_cycles", "-5");
+
+  // Every value the writer can emit reads back: a seed >= 2^63 and the
+  // unbounded receive-queue sentinel.
+  const auto flow = mapping_flow_from_config(
+      util::Config::parse("faults:\n  seed: 18446744073709551615\n"));
+  EXPECT_EQ(flow.noc.faults.seed, std::numeric_limits<std::uint64_t>::max());
+  util::Config out;
+  cosim_to_config(cosim::CoSimConfig{}, out);
+  EXPECT_EQ(cosim_from_config(out, {}).receive_queue_depth,
+            cosim::kUnboundedReceiveQueue);
+}
+
+TEST(ConfigIo, IntegerKeysAreRangeChecked) {
+  // Every integer key of the schema (it takes "7" but not "0.5"): -1 and
+  // max + 1 throw naming the key, and the maximum itself round-trips.
+  const std::set<std::string> u64_keys = {
+      "annealing.moves",     "faults.horizon_cycles",
+      "faults.seed",         "faults.transient_duration_cycles",
+      "flow.seed",           "noc.max_cycles"};
+  std::size_t integer_keys = 0;
+  for (const std::string& key : schema_keys()) {
+    if (!accepts(key, "7") || accepts(key, "0.5")) continue;
+    ++integer_keys;
+    const bool wide = u64_keys.count(key) != 0;
+    const std::string max = wide ? "18446744073709551615" : "4294967295";
+    expect_rejected(key, "-1");
+    expect_rejected(key, wide ? "18446744073709551616" : "4294967296");
+    const util::Config dumped = bind_and_dump(one_key(key, max));
+    EXPECT_EQ(dumped.get_string(key), max) << key;
+    EXPECT_EQ(bind_and_dump(dumped).dump(), dumped.dump()) << key;
+  }
+  EXPECT_EQ(integer_keys, 37u);
+}
+
+// The serialized config schema, pinned key for key.  The key tables in
+// config_io.cpp drive both parsing and serialization, so every key read is
+// also written; this test pins that key set, so a key added to or dropped
+// from a table fails here.
 TEST(ConfigIo, SerializedSchemaIsPinned) {
   static const char* const kSchema[] = {
       "annealing.cooling",

@@ -32,19 +32,6 @@ TEST(EnergyModel, ZeroHopStillPaysCodecAndOneRouter) {
   EXPECT_NEAR(m.packet_energy_pj(0), m.aer_codec_pj + m.router_flit_pj, 1e-12);
 }
 
-TEST(EnergyModel, FromConfigOverridesSelectively) {
-  util::Config cfg = util::Config::parse(
-      "energy:\n"
-      "  link_hop_pj: 99.0\n"
-      "  aer_codec_pj: 0.5\n");
-  const EnergyModel m = EnergyModel::from_config(cfg);
-  const EnergyModel d;
-  EXPECT_EQ(m.link_hop_pj, 99.0);
-  EXPECT_EQ(m.aer_codec_pj, 0.5);
-  EXPECT_EQ(m.crossbar_event_pj, d.crossbar_event_pj);  // untouched
-  EXPECT_EQ(m.router_flit_pj, d.router_flit_pj);
-}
-
 TEST(EnergyModel, ValidateRejectsNanInfAndNegative) {
   const double bad_values[] = {std::numeric_limits<double>::quiet_NaN(),
                                std::numeric_limits<double>::infinity(),
@@ -67,20 +54,6 @@ TEST(EnergyModel, ValidateRejectsNanInfAndNegative) {
   EnergyModel zero;
   zero.aer_codec_pj = 0.0;  // zero is odd but harmless
   EXPECT_NO_THROW(zero.validate());
-}
-
-TEST(EnergyModel, FromConfigRejectsBadValues) {
-  // NaN/inf/negative used to be accepted silently and poisoned every
-  // derived energy statistic downstream.
-  for (const char* bad : {"nan", "inf", "-inf", "-3.5"}) {
-    util::Config cfg;
-    cfg.set("energy.link_hop_pj", bad);
-    EXPECT_THROW(EnergyModel::from_config(cfg), std::invalid_argument)
-        << bad;
-  }
-  util::Config ok;
-  ok.set("energy.link_hop_pj", "7.25");
-  EXPECT_EQ(EnergyModel::from_config(ok).link_hop_pj, 7.25);
 }
 
 TEST(EnergyModel, ActivityEnergyPricesEachCounter) {
@@ -113,32 +86,5 @@ TEST(EnergyModel, DvfsEnergyScaleIsQuadraticAndExactAtNominal) {
   EXPECT_DOUBLE_EQ(EnergyModel::dvfs_energy_scale(0.5), 0.25);
   EXPECT_DOUBLE_EQ(EnergyModel::dvfs_energy_scale(0.25), 0.0625);
 }
-
-TEST(EnergyModel, ToConfigRoundTrips) {
-  EnergyModel m;
-  m.link_hop_pj = 12.25;
-  m.crossbar_event_pj = 3.5;
-  m.offchip_link_hop_pj = 52.5;
-  m.retransmit_pj = 4.75;
-  util::Config cfg;
-  m.to_config(cfg);
-  const EnergyModel back = EnergyModel::from_config(cfg);
-  EXPECT_NEAR(back.link_hop_pj, 12.25, 1e-9);
-  EXPECT_NEAR(back.crossbar_event_pj, 3.5, 1e-9);
-  EXPECT_NEAR(back.offchip_link_hop_pj, 52.5, 1e-9);
-  EXPECT_NEAR(back.retransmit_pj, 4.75, 1e-9);
-}
-
-TEST(EnergyModel, RetransmitKeyOverlaysFromConfig) {
-  const EnergyModel d;
-  EXPECT_GT(d.retransmit_pj, 0.0);  // retries are never free by default
-  util::Config cfg = util::Config::parse(
-      "energy:\n"
-      "  retransmit_pj: 1.5\n");
-  const EnergyModel m = EnergyModel::from_config(cfg);
-  EXPECT_EQ(m.retransmit_pj, 1.5);
-  EXPECT_EQ(m.link_hop_pj, d.link_hop_pj);  // untouched
-}
-
 }  // namespace
 }  // namespace snnmap::hw

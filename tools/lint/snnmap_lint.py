@@ -22,10 +22,6 @@ rules reject the *source patterns* that produce such bugs, at lint time:
                        equal the Google-Benchmark targets declared in
                        bench/CMakeLists.txt (a silently-unbuilt suite would
                        pass CI while its BENCH_*.json trajectory rots).
-  config-key-coverage  Every "section.key" literal read by *_from_config
-                       must be written by *_to_config (the save->load->save
-                       byte-stability precondition) and must appear in
-                       tests/core/config_io_test.cpp's schema coverage.
 
 Waivers: a finding is silenced by a justification comment on the flagged
 line or the line directly above it:
@@ -52,12 +48,10 @@ ALL_RULES = (
     "unordered-iteration",
     "hoisted-gate",
     "ci-bench-sync",
-    "config-key-coverage",
 )
 
 # Rules that walk every source file under src/ (src_files); only these need
-# the directory.  ci-bench-sync reads scripts/ and bench/, and
-# config-key-coverage reports its own missing inputs as findings.
+# the directory.  ci-bench-sync reads scripts/ and bench/.
 SRC_RULES = frozenset(("nondeterminism", "unordered-iteration",
                        "hoisted-gate"))
 
@@ -443,79 +437,12 @@ def rule_ci_bench_sync(repo):
 
 
 # --------------------------------------------------------------------------
-# Rule: config-key-coverage
-# --------------------------------------------------------------------------
-
-CONFIG_SOURCES = ("src/core/config_io.cpp", "src/hw/energy_model.cpp")
-CONFIG_TEST = "tests/core/config_io_test.cpp"
-
-READ_KEY_RE = re.compile(
-    r"\.\s*(?:int_or|double_or|bool_or|get_string)\s*\(\s*\"([a-z_0-9.]+)\"",
-    re.S)
-WRITE_KEY_RE = re.compile(r"\.\s*set\s*\(\s*\"([a-z_0-9.]+)\"", re.S)
-
-
-def rule_config_key_coverage(repo):
-    findings = []
-    reads, writes = {}, {}
-    for rel in CONFIG_SOURCES:
-        path = repo / rel
-        if not path.exists():
-            findings.append(Finding(rel, 1, "config-key-coverage",
-                                    "expected config source file missing"))
-            continue
-        text = path.read_text()
-        for m in READ_KEY_RE.finditer(text):
-            reads.setdefault(m.group(1), (rel, line_of_offset(text,
-                                                              m.start())))
-        for m in WRITE_KEY_RE.finditer(text):
-            writes.setdefault(m.group(1), (rel, line_of_offset(text,
-                                                               m.start())))
-
-    for key, (rel, line) in sorted(reads.items()):
-        if key not in writes:
-            findings.append(Finding(
-                rel, line, "config-key-coverage",
-                f"key '{key}' is read by from_config but never written by "
-                "to_config: save->load->save cannot be byte-stable"))
-    for key, (rel, line) in sorted(writes.items()):
-        if key not in reads:
-            findings.append(Finding(
-                rel, line, "config-key-coverage",
-                f"key '{key}' is written by to_config but never read back: "
-                "the value silently drops on reload"))
-
-    test_path = repo / CONFIG_TEST
-    if not test_path.exists():
-        findings.append(Finding(CONFIG_TEST, 1, "config-key-coverage",
-                                "round-trip test file missing"))
-        return findings
-    test_text = test_path.read_text()
-    for key, (rel, line) in sorted({**reads, **writes}.items()):
-        if key not in test_text:
-            findings.append(Finding(
-                rel, line, "config-key-coverage",
-                f"key '{key}' does not appear in {CONFIG_TEST}: add it to "
-                "the byte-stable round-trip schema coverage"))
-    for m in re.finditer(r"\"([a-z_0-9]+\.[a-z_0-9]+)\"", test_text):
-        key = m.group(1)
-        if key not in reads and key not in writes:
-            findings.append(Finding(
-                CONFIG_TEST, line_of_offset(test_text, m.start()),
-                "config-key-coverage",
-                f"test references key '{key}' that config_io neither reads "
-                "nor writes (stale after a rename?)"))
-    return findings
-
-
-# --------------------------------------------------------------------------
 
 RULE_FNS = {
     "nondeterminism": rule_nondeterminism,
     "unordered-iteration": rule_unordered_iteration,
     "hoisted-gate": rule_hoisted_gate,
     "ci-bench-sync": rule_ci_bench_sync,
-    "config-key-coverage": rule_config_key_coverage,
 }
 
 
