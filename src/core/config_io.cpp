@@ -62,7 +62,12 @@ std::string format_value(std::uint32_t value) {
 std::string format_value(std::uint64_t value) {
   return std::to_string(value);
 }
-std::string format_value(double value) { return std::to_string(value); }
+// The shortest text that parses back to the identical double.
+std::string format_value(double value) {
+  char text[32];
+  const auto [end, ec] = std::to_chars(text, text + sizeof text, value);
+  return std::string(text, end);
+}
 
 noc::SelectionStrategy selection_from_string(const std::string& name) {
   if (name == "first-candidate") return noc::SelectionStrategy::kFirstCandidate;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <iterator>
 #include <limits>
 #include <set>
@@ -622,6 +625,29 @@ TEST(ConfigIo, IntegerKeysAreRangeChecked) {
     EXPECT_EQ(bind_and_dump(dumped).dump(), dumped.dump()) << key;
   }
   EXPECT_EQ(integer_keys, 37u);
+}
+
+TEST(ConfigIo, DoubleKeysRoundTripBitExactly) {
+  // Every double key of the schema (it takes "0.5"): the dump reads back as
+  // the identical double, and reloading the dump reproduces it byte for
+  // byte.
+  const double values[] = {2.5e-7, 0.72984473, 1.0 / 3, 1e300};
+  std::size_t double_keys = 0;
+  for (const std::string& key : schema_keys()) {
+    if (!accepts(key, "0.5")) continue;
+    ++double_keys;
+    for (const double value : values) {
+      char text[32];
+      std::snprintf(text, sizeof text, "%.17g", value);
+      const util::Config dumped = bind_and_dump(one_key(key, text));
+      const double back = std::strtod(dumped.get_string(key)->c_str(), nullptr);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back),
+                std::bit_cast<std::uint64_t>(value))
+          << key << ": " << text << " dumped as " << *dumped.get_string(key);
+      EXPECT_EQ(bind_and_dump(dumped).dump(), dumped.dump()) << key;
+    }
+  }
+  EXPECT_EQ(double_keys, 24u);
 }
 
 // The serialized config schema, pinned key for key.  The key tables in
