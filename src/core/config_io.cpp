@@ -110,6 +110,8 @@ Key<Root> key(const char* name, Field field,
           }};
 }
 
+// The accessor of a field at `path` in the root.  It is generic, so one
+// lambda serves both the parser (mutable root) and the writer (const root).
 #define SNNMAP_FIELD(path) [](auto& c) -> auto& { return c.path; }
 
 const std::vector<Key<MappingFlowConfig>>& flow_keys() {

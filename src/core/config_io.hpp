@@ -5,8 +5,8 @@
 // `energy:` section to the one shared model, noc.energy) and the co-sim
 // scalars of cosim::CoSimConfig to the util::Config YAML subset, so an
 // experiment is reproducible from a single text file (see
-// examples/snnmap_cli.cpp; `snnmap_cli HW --dump-config` prints every key
-// with its default):
+// examples/snnmap_cli.cpp; `snnmap_cli HW --dump-config` prints every flow
+// key with its effective value):
 //
 //   arch:
 //     crossbars: 4
