@@ -601,7 +601,9 @@ TEST(ConfigIo, RejectsWraparoundInputs) {
   EXPECT_EQ(flow.noc.faults.seed, std::numeric_limits<std::uint64_t>::max());
   util::Config out;
   cosim_to_config(cosim::CoSimConfig{}, out);
-  EXPECT_EQ(cosim_from_config(out, {}).receive_queue_depth,
+  cosim::CoSimConfig bounded;
+  bounded.receive_queue_depth = 9;
+  EXPECT_EQ(cosim_from_config(out, bounded).receive_queue_depth,
             cosim::kUnboundedReceiveQueue);
 }
 
