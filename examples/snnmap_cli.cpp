@@ -10,10 +10,12 @@
 // topology "MxN".  The effective configuration is echoed so any run can be
 // reproduced from a config file alone.
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -80,17 +82,21 @@ void usage() {
          "  --verbose             info-level logging\n";
 }
 
-std::uint64_t parse_uint(const char* flag, const std::string& text) {
-  try {
-    std::size_t pos = 0;
-    const auto value = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument("trailing chars");
-    return value;
-  } catch (const std::exception&) {
-    std::cerr << "error: " << flag << " expects a non-negative integer, got '"
-              << text << "'\n";
+// std::from_chars takes no sign, so "-1" is rejected instead of wrapping
+// to 2^64 - 1, and a value outside [lo, hi] is rejected instead of being
+// narrowed.
+std::uint64_t parse_uint(
+    const char* flag, const std::string& text, std::uint64_t lo = 0,
+    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t value = 0;
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+  if (ec != std::errc{} || ptr != last || value < lo || value > hi) {
+    std::cerr << "error: " << flag << " expects an integer in [" << lo
+              << ", " << hi << "], got '" << text << "'\n";
     std::exit(1);
   }
+  return value;
 }
 
 // Flags that alias config keys.  The flag's value is written into the
@@ -184,7 +190,8 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--crossbar-size") {
       crossbar_size = static_cast<std::uint32_t>(
-          parse_uint("--crossbar-size", need_value("--crossbar-size")));
+          parse_uint("--crossbar-size", need_value("--crossbar-size"), 1,
+                     std::numeric_limits<std::uint32_t>::max()));
     } else if (arg == "--csv") {
       csv_path = need_value("--csv");
     } else if (arg == "--dump-config") {

@@ -11,6 +11,9 @@
 #   4. TSan      — Debug + ThreadSanitizer over the concurrency surface:
 #                  the ThreadPool suite plus the batch-evaluator and
 #                  determinism suites that drive it from many threads.
+#   5. perfbench — `perfbench/run.py --self-check`: builds the end-to-end
+#                  benchmark harness against src/ (no CTest compiles it)
+#                  and runs every workload at reduced size.
 # Legs 1-3 run the full CTest suite, so optimization-dependent breakage
 # (UB, fragile float expectations) and memory errors surface here and not
 # in a profile run.  Leg 4 runs the filtered concurrency subset (TSan's
@@ -100,3 +103,9 @@ if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
     --no-tests=error \
     -R '^util\.ThreadPool|^core\.Determinism|^core\.Batch(Noc)?Evaluator'
 fi
+
+# The benchmark harness is frozen and builds from src/, but nothing above
+# compiles it, so a src/ API change that breaks it would otherwise surface
+# only when the benchmark runs.
+echo "=== ci leg: perfbench self-check ==="
+python3 perfbench/run.py --self-check

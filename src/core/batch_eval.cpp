@@ -9,12 +9,8 @@ BatchEvaluator::BatchEvaluator(const snn::SnnGraph& graph,
                                std::size_t max_parallelism)
     : pool_(static_cast<std::uint32_t>(std::min<std::size_t>(
           util::ThreadPool::resolve(threads),
-          std::max<std::size_t>(1, max_parallelism)))) {
-  models_.reserve(pool_.size());
-  for (std::uint32_t w = 0; w < pool_.size(); ++w) {
-    models_.push_back(std::make_unique<CostModel>(graph));
-  }
-}
+          std::max<std::size_t>(1, max_parallelism)))),
+      model_(graph) {}
 
 void BatchEvaluator::evaluate(std::size_t count, const AssignmentAt& at,
                               Objective objective,
@@ -22,10 +18,9 @@ void BatchEvaluator::evaluate(std::size_t count, const AssignmentAt& at,
   costs.resize(count);
   pool_.parallel_blocks(
       count,
-      [&](std::uint32_t worker, std::size_t begin, std::size_t end) {
-        const CostModel& model = *models_[worker];
+      [&](std::uint32_t, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          costs[i] = model.objective_cost(at(i), objective);
+          costs[i] = model_.objective_cost(at(i), objective);
         }
       });
 }

@@ -3,12 +3,11 @@
 //
 // Every PSO iteration / GA generation evaluates the Eq. 7/8 objective for an
 // entire swarm or population against the same immutable spike graph.  The
-// evaluations are independent, so they fan out over a ThreadPool.  The
-// evaluator owns one CostModel per worker — each touched by exactly one
-// thread per batch, though CostModel keeps no mutable state — and all
-// randomness stays on the caller's thread.  Costs land in a slot
-// indexed by candidate, making parallel results bit-identical to the serial
-// path under a fixed seed.
+// evaluations are independent, so they fan out over a ThreadPool.  Every
+// worker reads one shared CostModel (it keeps no mutable state, so const
+// calls from many threads do not race), and all randomness stays on the
+// caller's thread.  Costs land in a slot indexed by candidate, making
+// parallel results bit-identical to the serial path under a fixed seed.
 //
 // BatchNocEvaluator applies the same pattern to whole NoC simulations:
 // ablation sweeps and multi-app workloads run many independent
@@ -33,7 +32,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/cost.hpp"
@@ -53,20 +51,17 @@ class BatchEvaluator {
   /// threads = 0 resolves to hardware_concurrency(); 1 evaluates inline on
   /// the calling thread (serial fallback).  `max_parallelism` is the
   /// largest batch the caller will ever submit (e.g. the swarm size):
-  /// worker threads and their CostModel replicas beyond it would never
-  /// receive a block, so the pool is clamped to it.
+  /// worker threads beyond it would never receive a block, so the pool is
+  /// clamped to it.
   explicit BatchEvaluator(const snn::SnnGraph& graph,
                           std::uint32_t threads = 0,
                           std::size_t max_parallelism = ~std::size_t{0});
 
   std::uint32_t thread_count() const noexcept { return pool_.size(); }
 
-  /// Worker-local cost model.  Worker 0's model doubles as the caller's
-  /// serial model (repair operators, one-off evaluations): batches never run
-  /// while the caller is between evaluate() calls, so no thread contends.
-  const CostModel& model(std::uint32_t worker = 0) const {
-    return *models_[worker];
-  }
+  /// The cost model every batch evaluates with; callers may also use it
+  /// for serial work (repair operators, one-off evaluations).
+  const CostModel& model() const noexcept { return model_; }
 
   using AssignmentAt =
       std::function<const std::vector<CrossbarId>&(std::size_t)>;
@@ -84,7 +79,7 @@ class BatchEvaluator {
 
  private:
   util::ThreadPool pool_;
-  std::vector<std::unique_ptr<CostModel>> models_;  ///< one per worker
+  const CostModel model_;
 };
 
 /// One independent interconnect simulation of a batch.

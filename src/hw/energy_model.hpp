@@ -9,10 +9,12 @@
 //
 // Interconnect energy is *activity-based*: the simulators count codec
 // events, link traversals and router (switch) traversals as exact integers
-// and convert them to pJ through activity_energy_pj() — one shared formula,
-// so one-shot totals, per-window samples and co-simulation accumulators are
-// bit-identical whenever their activity counts agree (the windowed-energy
-// invariant the co-simulator tests pin).
+// (noc::Activity) and convert them to pJ through activity_energy_pj() — one
+// shared formula, reached through noc::Activity::energy_pj for every
+// integer count and directly only by the co-simulator's DVFS-weighted
+// total — so one-shot totals, per-window samples and co-simulation
+// accumulators are bit-identical whenever their activity counts agree (the
+// windowed-energy invariant the co-simulator tests pin).
 #pragma once
 
 #include <cstdint>
@@ -56,15 +58,12 @@ struct EnergyModel {
   /// encode/decode operations, `link_hops` on-chip flit-link traversals,
   /// `router_traversals` flit-router (switch) traversals and
   /// `offchip_link_hops` inter-chip flit-link traversals.  Arguments are
-  /// doubles so callers can pass exact integer counters (one-shot stats,
-  /// window deltas) or DVFS-scale-weighted activity; identical argument
-  /// values produce bit-identical results.  The off-chip term defaults to
-  /// zero and `x + offchip_link_hop_pj * 0.0 == x` bitwise for the
-  /// non-negative sums all callers produce, so single-chip totals are
-  /// bit-identical to the pre-off-chip formula.
+  /// doubles so callers can pass exact integer counters
+  /// (noc::Activity::energy_pj) or DVFS-scale-weighted activity; identical
+  /// argument values produce bit-identical results.
   double activity_energy_pj(double codec_events, double link_hops,
                             double router_traversals,
-                            double offchip_link_hops = 0.0) const noexcept {
+                            double offchip_link_hops) const noexcept {
     return aer_codec_pj * codec_events + link_hop_pj * link_hops +
            router_flit_pj * router_traversals +
            offchip_link_hop_pj * offchip_link_hops;

@@ -11,6 +11,7 @@
 //    defines the maximum — both are computed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -86,17 +87,78 @@ struct FaultStats {
   }
 };
 
-/// Conventional interconnect statistics (latency/energy/throughput, Sec. II).
-struct NocStats {
-  std::uint64_t packets_injected = 0;   ///< traffic events offered
-  std::uint64_t flits_injected = 0;     ///< flit copies entering the NoC
-  std::uint64_t copies_delivered = 0;   ///< flit copies reaching a decoder
-  std::uint64_t link_hops = 0;          ///< flit-link traversals (on + off chip)
+/// Interconnect activity as exact integer counters: the spike traffic the
+/// paper prices global synapses by.  NocStats (session totals),
+/// WindowEnergySample (one window's deltas) and WindowEnergyReport (the sum
+/// of its windows) each carry one, so a window is `now - snapshot` and a
+/// report is `+=` over its windows.  energy_pj() is the one place an
+/// activity count is turned into pJ, so equal activity prices bit-identically
+/// wherever it was accumulated.
+struct Activity {
+  std::uint64_t flits_injected = 0;    ///< flit copies entering the NoC
+  std::uint64_t copies_delivered = 0;  ///< flit copies reaching a decoder
+  std::uint64_t link_hops = 0;         ///< flit-link traversals (on + off chip)
   /// Subset of link_hops crossing a chip boundary (0 on single-chip
   /// fabrics); priced at EnergyModel::offchip_link_hop_pj.
   std::uint64_t offchip_link_hops = 0;
-  std::uint64_t router_traversals = 0;  ///< flit-router traversals
-  double global_energy_pj = 0.0;        ///< interconnect (global synapse) energy
+  std::uint64_t router_traversals = 0;  ///< flit-router (switch) traversals
+  /// Cycles the fabric arbitrated (idle spans are fast-forwarded and cost
+  /// no energy or activity).
+  std::uint64_t busy_cycles = 0;
+
+  Activity& operator+=(const Activity& other) noexcept;
+  bool operator==(const Activity&) const = default;
+
+  /// AER encodes (one per flit copy) plus decodes (one per delivery).
+  std::uint64_t codec_events() const noexcept {
+    return flits_injected + copies_delivered;
+  }
+  /// The activity priced at `model`'s nominal constants (busy cycles cost
+  /// nothing; DVFS scaling is the consumer's, e.g. cosim::CoSimulator).
+  double energy_pj(const hw::EnergyModel& model) const noexcept {
+    return model.activity_energy_pj(
+        static_cast<double>(codec_events()),
+        static_cast<double>(link_hops - offchip_link_hops),
+        static_cast<double>(router_traversals),
+        static_cast<double>(offchip_link_hops));
+  }
+};
+
+/// Every Activity counter with its name, in declaration order: the
+/// arithmetic below and the simulator's metrics ("noc." + name) iterate it.
+struct ActivityField {
+  const char* name;
+  std::uint64_t Activity::*count;
+};
+inline constexpr std::array<ActivityField, 6> kActivityFields{{
+    {"flits_injected", &Activity::flits_injected},
+    {"copies_delivered", &Activity::copies_delivered},
+    {"link_hops", &Activity::link_hops},
+    {"offchip_link_hops", &Activity::offchip_link_hops},
+    {"router_traversals", &Activity::router_traversals},
+    {"busy_cycles", &Activity::busy_cycles},
+}};
+
+inline Activity& Activity::operator+=(const Activity& other) noexcept {
+  for (const ActivityField& f : kActivityFields) {
+    this->*f.count += other.*f.count;
+  }
+  return *this;
+}
+
+/// Counter-wise difference; `later - earlier` of one session's running
+/// totals is the activity in between.
+inline Activity operator-(Activity a, const Activity& b) noexcept {
+  for (const ActivityField& f : kActivityFields) a.*f.count -= b.*f.count;
+  return a;
+}
+
+/// Conventional interconnect statistics (latency/energy/throughput, Sec. II).
+/// The inherited Activity holds the session's totals.
+struct NocStats : Activity {
+  std::uint64_t packets_injected = 0;   ///< traffic events offered
+  /// Interconnect (global synapse) energy: Activity::energy_pj.
+  double global_energy_pj = 0.0;
   util::Accumulator latency_cycles;     ///< per delivered copy
   std::uint64_t max_latency_cycles = 0;
   std::uint64_t duration_cycles = 0;    ///< cycles until the NoC drained
@@ -118,31 +180,21 @@ struct NocStats {
 };
 
 /// Activity observed by one accounting window of a NocSimulator session
-/// ([start_cycle, end_cycle) of virtual time).  All counts are exact
-/// integers — deltas of the simulator's flat counters at the window
-/// boundary — so summing windows reproduces the one-shot aggregates with
+/// ([start_cycle, end_cycle) of virtual time).  The inherited counts are
+/// exact integer deltas of the simulator's counters at the window
+/// boundaries, so summing windows reproduces the one-shot aggregates with
 /// no floating-point drift.
-struct WindowEnergySample {
+struct WindowEnergySample : Activity {
   std::uint64_t index = 0;        ///< position in the session's window list
   std::uint64_t start_cycle = 0;
   std::uint64_t end_cycle = 0;
-  /// Cycles the fabric actually arbitrated inside the window (idle spans
-  /// are fast-forwarded and cost no energy or activity).
-  std::uint64_t busy_cycles = 0;
-  std::uint64_t flits_injected = 0;    ///< AER encodes (one per flit copy)
-  std::uint64_t copies_delivered = 0;  ///< AER decodes (one per delivery)
-  std::uint64_t link_hops = 0;         ///< flit-link traversals (on + off chip)
-  std::uint64_t offchip_link_hops = 0; ///< subset crossing a chip boundary
-  std::uint64_t router_traversals = 0; ///< flit-router (switch) traversals
   /// Largest per-directed-link flit count within the window (hotspot peak).
   std::uint64_t peak_link_flits = 0;
-  /// Window activity priced at the nominal EnergyModel constants, in pJ
-  /// (DVFS scaling is applied by the consumer, e.g. cosim::CoSimulator).
+  /// Activity::energy_pj of the window, at the nominal EnergyModel
+  /// constants (DVFS scaling is applied by the consumer, e.g.
+  /// cosim::CoSimulator).
   double energy_pj = 0.0;
 
-  std::uint64_t codec_events() const noexcept {
-    return flits_injected + copies_delivered;
-  }
   /// Busy fraction of the window's virtual-time span (0 for empty spans).
   double utilization() const noexcept {
     return end_cycle > start_cycle
@@ -152,20 +204,13 @@ struct WindowEnergySample {
   }
 };
 
-/// Per-window energy accounting of one NocSimulator session.  The integer
-/// totals are exact sums of the samples' deltas, so `total_energy_pj` is
-/// bit-identical to the NocStats::global_energy_pj the same session reports
-/// — windowing loses nothing relative to one-shot accounting.
-struct WindowEnergyReport {
+/// Per-window energy accounting of one NocSimulator session.  The inherited
+/// Activity is the exact sum of the samples' deltas, so `total_energy_pj`
+/// is bit-identical to the NocStats::global_energy_pj the same session
+/// reports — windowing loses nothing relative to one-shot accounting.
+struct WindowEnergyReport : Activity {
   std::vector<WindowEnergySample> windows;
-  std::uint64_t busy_cycles = 0;
-  std::uint64_t codec_events = 0;
-  std::uint64_t link_hops = 0;          ///< on + off chip
-  std::uint64_t offchip_link_hops = 0;
-  std::uint64_t router_traversals = 0;
-  /// Summed integer activity priced through
-  /// hw::EnergyModel::activity_energy_pj at nominal constants.
-  double total_energy_pj = 0.0;
+  double total_energy_pj = 0.0;  ///< Activity::energy_pj of the totals
 };
 
 /// The paper's SNN performance metrics.

@@ -109,12 +109,10 @@ NocSimulator::NocSimulator(Topology topology, NocConfig config)
   // their values.  Names follow the dotted-lowercase convention (README
   // "Observability").
   mid_.packets = metrics_.counter("noc.packets_injected");
-  mid_.flits = metrics_.counter("noc.flits_injected");
-  mid_.delivered = metrics_.counter("noc.copies_delivered");
-  mid_.link_hops = metrics_.counter("noc.link_hops");
-  mid_.offchip = metrics_.counter("noc.offchip_link_hops");
-  mid_.router_traversals = metrics_.counter("noc.router_traversals");
-  mid_.busy = metrics_.counter("noc.busy_cycles");
+  for (std::size_t i = 0; i < kActivityFields.size(); ++i) {
+    mid_.activity[i] =
+        metrics_.counter(std::string("noc.") + kActivityFields[i].name);
+  }
   mid_.reroutes = metrics_.counter("noc.fault.reroutes");
   mid_.flits_dropped = metrics_.counter("noc.fault.flits_dropped");
   mid_.copies_lost = metrics_.counter("noc.fault.copies_lost");
@@ -155,15 +153,8 @@ void NocSimulator::begin() {
   wake_.clear();
   stats_ = NocStats{};
   delivered_.clear();
-  busy_cycles_ = 0;
   window_report_ = WindowEnergyReport{};
-  win_start_cycle_ = 0;
-  win_busy_ = 0;
-  win_flits_injected_ = 0;
-  win_copies_delivered_ = 0;
-  win_link_hops_ = 0;
-  win_offchip_link_hops_ = 0;
-  win_router_traversals_ = 0;
+  win_ = Activity{};
   win_link_flits_.assign(port_base_[n], 0);
   // Rebuild the fault timeline from scratch: the schedule is a pure
   // function of (topology, config.faults), so every session replays the
@@ -569,8 +560,8 @@ void NocSimulator::simulate_cycle() {
           };
           // Ejection and forwarding account pure activity; energy is
           // priced from these exact integer counters at window close /
-          // finish (hw::EnergyModel::activity_energy_pj), so the totals
-          // are independent of summation order and window boundaries.
+          // finish (Activity::energy_pj), so the totals are independent
+          // of summation order and window boundaries.
           const auto charge_ejection = [&] {
             ++stats_.router_traversals;  // decode pairs with copies_delivered
           };
@@ -882,7 +873,7 @@ std::uint64_t NocSimulator::run_until(std::uint64_t cycle_limit) {
     const std::size_t before_in_flight = in_flight_;
     simulate_cycle();
     ++now_;
-    ++busy_cycles_;
+    ++stats_.busy_cycles;
 
     if (!event_driven_) continue;
     // ---- 5. Event engine: a cycle that moved nothing proves the fabric
@@ -913,7 +904,7 @@ std::uint64_t NocSimulator::run_until(std::uint64_t cycle_limit) {
     }
     wake = std::min({wake, cycle_limit, config_.max_cycles});
     if (wake > now_) {
-      busy_cycles_ += wake - now_;
+      stats_.busy_cycles += wake - now_;
       now_ = wake;
     }
   }
@@ -933,22 +924,20 @@ std::vector<DeliveredSpike> NocSimulator::drain_delivered() {
 }
 
 WindowEnergySample NocSimulator::close_energy_window() {
+  WindowEnergyReport& r = window_report_;
+  const Activity delta = stats_ - win_;
+  win_ = stats_;
   WindowEnergySample s;
-  s.index = window_report_.windows.size();
-  s.start_cycle = win_start_cycle_;
+  static_cast<Activity&>(s) = delta;
+  s.index = r.windows.size();
+  s.start_cycle = r.windows.empty() ? 0 : r.windows.back().end_cycle;
   s.end_cycle = now_;
-  s.busy_cycles = busy_cycles_ - win_busy_;
-  s.flits_injected = stats_.flits_injected - win_flits_injected_;
-  s.copies_delivered = stats_.copies_delivered - win_copies_delivered_;
-  s.link_hops = stats_.link_hops - win_link_hops_;
-  s.offchip_link_hops = stats_.offchip_link_hops - win_offchip_link_hops_;
-  s.router_traversals = stats_.router_traversals - win_router_traversals_;
   const bool mon = monitor_.has_value();
   for (std::size_t i = 0; i < link_flits_.size(); ++i) {
-    const std::uint64_t delta = link_flits_[i] - win_link_flits_[i];
-    s.peak_link_flits = std::max(s.peak_link_flits, delta);
+    const std::uint64_t link_delta = link_flits_[i] - win_link_flits_[i];
+    s.peak_link_flits = std::max(s.peak_link_flits, link_delta);
     win_link_flits_[i] = link_flits_[i];
-    if (mon) monitor_scratch_[i] = delta;
+    if (mon) monitor_scratch_[i] = link_delta;
   }
   if (mon) monitor_->observe_window(monitor_scratch_, s.end_cycle - s.start_cycle);
   metrics_.observe(mid_.window_peak, s.peak_link_flits);
@@ -956,32 +945,12 @@ WindowEnergySample NocSimulator::close_energy_window() {
     metrics_.observe(mid_.window_utilization,
                      s.busy_cycles * 100 / (s.end_cycle - s.start_cycle));
   }
-  s.energy_pj = config_.energy.activity_energy_pj(
-      static_cast<double>(s.codec_events()),
-      static_cast<double>(s.link_hops - s.offchip_link_hops),
-      static_cast<double>(s.router_traversals),
-      static_cast<double>(s.offchip_link_hops));
-  win_start_cycle_ = now_;
-  win_busy_ = busy_cycles_;
-  win_flits_injected_ = stats_.flits_injected;
-  win_copies_delivered_ = stats_.copies_delivered;
-  win_link_hops_ = stats_.link_hops;
-  win_offchip_link_hops_ = stats_.offchip_link_hops;
-  win_router_traversals_ = stats_.router_traversals;
-
-  WindowEnergyReport& r = window_report_;
-  r.busy_cycles += s.busy_cycles;
-  r.codec_events += s.codec_events();
-  r.link_hops += s.link_hops;
-  r.offchip_link_hops += s.offchip_link_hops;
-  r.router_traversals += s.router_traversals;
-  // Totals are exact integer sums of the deltas, i.e. exactly the session
-  // counters, so this equals finish()'s stats.global_energy_pj bit for bit.
-  r.total_energy_pj = config_.energy.activity_energy_pj(
-      static_cast<double>(r.codec_events),
-      static_cast<double>(r.link_hops - r.offchip_link_hops),
-      static_cast<double>(r.router_traversals),
-      static_cast<double>(r.offchip_link_hops));
+  s.energy_pj = delta.energy_pj(config_.energy);
+  // The totals are exact integer sums of the deltas, i.e. exactly the
+  // session counters, so this equals finish()'s stats.global_energy_pj bit
+  // for bit.
+  r += delta;
+  r.total_energy_pj = r.energy_pj(config_.energy);
   r.windows.push_back(s);
   return s;
 }
@@ -991,22 +960,12 @@ NocRunResult NocSimulator::finish() {
   stats_.duration_cycles = now_;
   // Interconnect energy is the exact activity counters priced at the model
   // constants — independent of charge order and of where the session put
-  // its window boundaries.  Encodes pair with flits_injected, decodes with
-  // copies_delivered.
-  stats_.global_energy_pj = config_.energy.activity_energy_pj(
-      static_cast<double>(stats_.flits_injected + stats_.copies_delivered),
-      static_cast<double>(stats_.link_hops - stats_.offchip_link_hops),
-      static_cast<double>(stats_.router_traversals),
-      static_cast<double>(stats_.offchip_link_hops));
+  // its window boundaries.
+  stats_.global_energy_pj = stats_.energy_pj(config_.energy);
   // Fold the trailing (never-closed) span into the window report so its
   // totals always cover the whole session; a one-shot run() thereby
   // reports one window spanning the full trace.
-  if (window_report_.windows.empty() ||
-      stats_.flits_injected != win_flits_injected_ ||
-      stats_.copies_delivered != win_copies_delivered_ ||
-      stats_.link_hops != win_link_hops_ ||
-      stats_.router_traversals != win_router_traversals_ ||
-      busy_cycles_ != win_busy_) {
+  if (window_report_.windows.empty() || stats_ != win_) {
     close_energy_window();
   }
   // "Drained" keeps its one-shot meaning for sessions: all offered traffic
@@ -1038,12 +997,9 @@ NocRunResult NocSimulator::finish() {
   // Publish the session's counters into the metrics registry once, off the
   // hot path; window histograms were already observed at each close.
   metrics_.add(mid_.packets, stats_.packets_injected);
-  metrics_.add(mid_.flits, stats_.flits_injected);
-  metrics_.add(mid_.delivered, stats_.copies_delivered);
-  metrics_.add(mid_.link_hops, stats_.link_hops);
-  metrics_.add(mid_.offchip, stats_.offchip_link_hops);
-  metrics_.add(mid_.router_traversals, stats_.router_traversals);
-  metrics_.add(mid_.busy, busy_cycles_);
+  for (std::size_t i = 0; i < kActivityFields.size(); ++i) {
+    metrics_.add(mid_.activity[i], stats_.*kActivityFields[i].count);
+  }
   metrics_.add(mid_.reroutes, stats_.fault.reroutes);
   metrics_.add(mid_.flits_dropped, stats_.fault.flits_dropped);
   metrics_.add(mid_.copies_lost, stats_.fault.copies_lost());

@@ -17,6 +17,13 @@
 // are visited each cycle.  The cycle-level semantics are bit-identical to
 // the original per-router scan engine (pinned by tests/noc/golden_test.cpp).
 //
+// Activity accounting: the simulator counts flits, deliveries, link and
+// router traversals and busy cycles into one noc::Activity (NocStats's
+// base).  An energy window is that Activity minus its snapshot at the
+// previous close, the window report is the sum of the windows, and every
+// total is priced by Activity::energy_pj, so windowed and one-shot energy
+// agree bit for bit.
+//
 // Multi-chip fabrics: links the topology tags off-chip charge the distinct
 // EnergyModel::offchip_link_hop_pj per traversal and delay the flit by
 // NocConfig::offchip_link_latency extra cycles at the receiving router
@@ -24,6 +31,7 @@
 // pre-off-chip engine.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -213,13 +221,13 @@ class NocSimulator {
   /// unaffected.  Empty in streaming mode (collect_delivered = false).
   std::vector<DeliveredSpike> drain_delivered();
 
-  /// Closes the current energy-accounting window at now(): snapshots the
-  /// activity counters (flit injections, deliveries, link/router
-  /// traversals, busy cycles, per-link peaks) as exact integer deltas
-  /// since the previous close, prices them at the nominal EnergyModel
-  /// constants, and appends the sample to window_energy().  Callers
-  /// typically close once per run_until()/run_cycles() boundary (the
-  /// co-simulator closes one window per lockstep step).  O(ports) — cost
+  /// Closes the current energy-accounting window at now(): the sample's
+  /// Activity is the session's activity minus its snapshot at the previous
+  /// close (exact integers), plus the per-link peak; it is priced through
+  /// Activity::energy_pj at the nominal EnergyModel constants and appended
+  /// to window_energy().  Callers typically close once per
+  /// run_until()/run_cycles() boundary (the co-simulator closes one window
+  /// per lockstep step).  O(ports) — cost
   /// is paid only at boundaries, never inside the cycle loop.  Returns the
   /// sample by value: a reference into the growing report would dangle at
   /// the next close.
@@ -364,20 +372,12 @@ class NocSimulator {
   NocStats stats_;
   std::vector<DeliveredSpike> delivered_;
   // --- windowed energy accounting (close_energy_window) ------------------
-  // Cycles simulate_cycle actually ran (idle spans fast-forward past).
-  std::uint64_t busy_cycles_ = 0;
   WindowEnergyReport window_report_;
-  // Counter snapshots at the last window close; the next close reports the
-  // exact integer deltas.  win_link_flits_ mirrors link_flits_ so the
-  // per-window hotspot peak is a subtraction, not a second counter array in
-  // the cycle loop.
-  std::uint64_t win_start_cycle_ = 0;
-  std::uint64_t win_busy_ = 0;
-  std::uint64_t win_flits_injected_ = 0;
-  std::uint64_t win_copies_delivered_ = 0;
-  std::uint64_t win_link_hops_ = 0;
-  std::uint64_t win_offchip_link_hops_ = 0;
-  std::uint64_t win_router_traversals_ = 0;
+  // stats_'s activity at the last window close; the next close reports
+  // stats_ - win_.  win_link_flits_ mirrors link_flits_ so the per-window
+  // hotspot peak is a subtraction, not a second counter array in the cycle
+  // loop.
+  Activity win_;
   std::vector<std::uint64_t> win_link_flits_;
   // --- fault state (rebuilt by begin(): the timeline is a pure function
   // of (topology, config.faults), so every session replays it) -----------
@@ -394,10 +394,11 @@ class NocSimulator {
   std::vector<std::uint64_t> monitor_scratch_;  // per-link window deltas
   obs::MetricsRegistry metrics_;
   struct MetricIds {
-    obs::MetricsRegistry::Id packets, flits, delivered, link_hops, offchip,
-        router_traversals, busy, reroutes, flits_dropped, copies_lost,
+    obs::MetricsRegistry::Id packets, reroutes, flits_dropped, copies_lost,
         link_max_flits, links_used, windows, trace_recorded, trace_evicted,
         window_peak, window_utilization;
+    /// "noc." + kActivityFields[i].name.
+    std::array<obs::MetricsRegistry::Id, kActivityFields.size()> activity;
   };
   MetricIds mid_{};
 };

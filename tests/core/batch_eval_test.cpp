@@ -108,16 +108,6 @@ TEST(BatchEvaluator, EmptyBatchYieldsEmptyCosts) {
   EXPECT_TRUE(costs.empty());
 }
 
-TEST(BatchEvaluator, ExposesWorkerLocalModels) {
-  const auto graph = random_graph(10, 20, 51);
-  BatchEvaluator evaluator(graph, 2);
-  EXPECT_EQ(evaluator.thread_count(), 2u);
-  const auto batch = random_assignments(10, 3, 1, 52);
-  EXPECT_EQ(evaluator.model(0).objective_cost(batch[0], Objective::kCutSpikes),
-            evaluator.model(1).objective_cost(batch[0],
-                                              Objective::kCutSpikes));
-}
-
 TEST(BatchEvaluator, ZeroThreadsResolvesToHardwareConcurrency) {
   const auto graph = random_graph(10, 20, 61);
   BatchEvaluator evaluator(graph, 0);

@@ -62,22 +62,18 @@ TEST(EnergyModel, ActivityEnergyPricesEachCounter) {
   m.link_hop_pj = 10.0;
   m.router_flit_pj = 5.0;
   m.offchip_link_hop_pj = 40.0;
-  EXPECT_DOUBLE_EQ(m.activity_energy_pj(0.0, 0.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(m.activity_energy_pj(2.0, 3.0, 4.0),
+  EXPECT_DOUBLE_EQ(m.activity_energy_pj(0.0, 0.0, 0.0, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(m.activity_energy_pj(2.0, 3.0, 4.0, 0.0),
                    2.0 * 1.0 + 3.0 * 10.0 + 4.0 * 5.0);
-  // The off-chip term prices inter-chip hops at the distinct constant, and
-  // a zero off-chip count is bit-identical to the 3-argument form.
+  // The off-chip term prices inter-chip hops at the distinct constant.
   EXPECT_DOUBLE_EQ(m.activity_energy_pj(2.0, 3.0, 4.0, 5.0),
                    2.0 * 1.0 + 3.0 * 10.0 + 4.0 * 5.0 + 5.0 * 40.0);
-  const double three = m.activity_energy_pj(2.0, 3.0, 4.0);
-  const double four = m.activity_energy_pj(2.0, 3.0, 4.0, 0.0);
-  EXPECT_EQ(three, four);
   // Consistent with the per-packet closed form: a unicast copy over h hops
   // is 2 codec events, h link hops and h + 1 router traversals.
   const std::uint32_t h = 3;
   EXPECT_DOUBLE_EQ(
       m.activity_energy_pj(2.0, static_cast<double>(h),
-                           static_cast<double>(h + 1)),
+                           static_cast<double>(h + 1), 0.0),
       m.packet_energy_pj(h) + m.aer_codec_pj);
 }
 

@@ -73,7 +73,7 @@ TEST(NocGolden, WindowedEnergySumsBitIdenticalToOneShotRun) {
   // close must reproduce the one-shot run() global energy bit for bit —
   // the window report's integer activity totals are exactly the session
   // counters, and both sides price them through the same
-  // hw::EnergyModel::activity_energy_pj call.  Checked on both scheduling
+  // Activity::energy_pj call.  Checked on both scheduling
   // cores: the event engine's skipped stall spans must land in the same
   // windows' busy_cycles the cycle oracle simulates one by one.
   for (const NocEngine engine : {NocEngine::kCycle, NocEngine::kEvent}) {
@@ -100,26 +100,17 @@ TEST(NocGolden, WindowedEnergySumsBitIdenticalToOneShotRun) {
     EXPECT_EQ(finished.stats.link_hops, expected.stats.link_hops);
     EXPECT_EQ(finished.stats.router_traversals,
               expected.stats.router_traversals);
-    // ...and the windowed report loses nothing: integer window deltas sum
-    // to the session totals, and the priced total is bit-identical to the
-    // one-shot energy (which itself reports a single full-span window).
+    // ...and the windowed report loses nothing: the window deltas of every
+    // counter sum to the report totals and to the session totals, and the
+    // priced total is bit-identical to the one-shot energy (which itself
+    // reports a single full-span window).
     const WindowEnergyReport& report = finished.window_energy;
     EXPECT_GE(report.windows.size(), 2u);
-    std::uint64_t codec = 0;
-    std::uint64_t links = 0;
-    std::uint64_t routers = 0;
-    std::uint64_t busy = 0;
-    for (const WindowEnergySample& w : report.windows) {
-      codec += w.codec_events();
-      links += w.link_hops;
-      routers += w.router_traversals;
-      busy += w.busy_cycles;
-    }
-    EXPECT_EQ(codec, report.codec_events);
-    EXPECT_EQ(links, report.link_hops);
-    EXPECT_EQ(routers, report.router_traversals);
-    EXPECT_EQ(busy, report.busy_cycles);
-    EXPECT_EQ(links, expected.stats.link_hops);
+    Activity sum;
+    for (const WindowEnergySample& w : report.windows) sum += w;
+    EXPECT_EQ(sum, static_cast<const Activity&>(report));
+    EXPECT_EQ(sum, static_cast<const Activity&>(finished.stats));
+    EXPECT_EQ(sum, static_cast<const Activity&>(expected.stats));
     EXPECT_EQ(report.total_energy_pj, expected.stats.global_energy_pj);
     EXPECT_EQ(report.total_energy_pj, finished.stats.global_energy_pj);
     ASSERT_EQ(expected.window_energy.windows.size(), 1u);

@@ -133,6 +133,47 @@ TEST(NocStats, ThroughputComputation) {
   EXPECT_EQ(s.throughput_aer_per_ms(1000), 0.0);
 }
 
+TEST(Activity, DifferenceUndoesSumAndEnergyUsesTheFourArgFormula) {
+  const Activity a{.flits_injected = 3,
+                   .copies_delivered = 5,
+                   .link_hops = 11,
+                   .offchip_link_hops = 2,
+                   .router_traversals = 13,
+                   .busy_cycles = 17};
+  const Activity b{.flits_injected = 100,
+                   .copies_delivered = 200,
+                   .link_hops = 300,
+                   .offchip_link_hops = 40,
+                   .router_traversals = 500,
+                   .busy_cycles = 600};
+  Activity sum = a;
+  sum += b;
+  EXPECT_EQ(sum, (Activity{.flits_injected = 103,
+                           .copies_delivered = 205,
+                           .link_hops = 311,
+                           .offchip_link_hops = 42,
+                           .router_traversals = 513,
+                           .busy_cycles = 617}));
+  EXPECT_EQ(sum - b, a);
+  EXPECT_EQ(a.codec_events(), 8u);
+
+  hw::EnergyModel m;
+  m.aer_codec_pj = 1.0;
+  m.link_hop_pj = 10.0;
+  m.router_flit_pj = 5.0;
+  m.offchip_link_hop_pj = 40.0;
+  EXPECT_EQ(a.energy_pj(m),
+            m.activity_energy_pj(
+                static_cast<double>(a.flits_injected + a.copies_delivered),
+                static_cast<double>(a.link_hops - a.offchip_link_hops),
+                static_cast<double>(a.router_traversals),
+                static_cast<double>(a.offchip_link_hops)));
+  // Busy cycles cost nothing.
+  Activity idle;
+  idle.busy_cycles = 1000;
+  EXPECT_EQ(idle.energy_pj(m), 0.0);
+}
+
 TEST(DeliveredSpike, LatencyHelper) {
   EXPECT_EQ(spike(0, 0, 10, 25).latency(), 15u);
 }

@@ -527,7 +527,7 @@ TEST(NocSimulatorSession, WindowEnergySamplesTrackActivity) {
   const auto result = sim.finish();
   // No activity after the last close: finish() appends no trailing window.
   EXPECT_EQ(result.window_energy.windows.size(), 3u);
-  EXPECT_EQ(result.window_energy.codec_events, 6u);
+  EXPECT_EQ(result.window_energy.codec_events(), 6u);
   EXPECT_EQ(result.window_energy.total_energy_pj,
             result.stats.global_energy_pj);
 }
