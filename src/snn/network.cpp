@@ -209,6 +209,12 @@ Network::GroupId Network::find_group(const std::string& name) const noexcept {
   return kNoGroup;
 }
 
+bool Network::index_stale() const noexcept {
+  // The counts catch edits made through mutable_synapses() and add_group.
+  return !index_built_ || fanout_synapses_.size() != synapses_.size() ||
+         fanout_offsets_.size() != std::size_t{neuron_count()} + 1;
+}
+
 void Network::build_index() const {
   fanout_offsets_.assign(neuron_count() + 1, 0);
   for (const auto& s : synapses_) ++fanout_offsets_[s.pre + 1];
@@ -225,12 +231,12 @@ void Network::build_index() const {
 }
 
 const std::vector<std::uint32_t>& Network::fanout_offsets() const {
-  if (!index_built_) build_index();
+  if (index_stale()) build_index();
   return fanout_offsets_;
 }
 
 const std::vector<std::uint32_t>& Network::fanout_synapses() const {
-  if (!index_built_) build_index();
+  if (index_stale()) build_index();
   return fanout_synapses_;
 }
 

@@ -124,9 +124,11 @@ class Network {
   const std::vector<Group>& groups() const noexcept { return groups_; }
   const std::vector<Synapse>& synapses() const noexcept { return synapses_; }
   /// Mutable access for STDP write-back and experiment-time edits
-  /// (lesioning, reweighting).  A Simulator snapshots synapses at
-  /// construction, so edits made here are only picked up by Simulators
-  /// built afterwards.
+  /// (lesioning, reweighting, appending).  A Simulator snapshots synapses
+  /// at construction, so edits made here are only picked up by Simulators
+  /// built afterwards.  The fan-out index follows appends and erases (it
+  /// rebuilds when the synapse count changes); rewiring a synapse's `pre`
+  /// in place, or swapping synapses one for one, is not supported.
   std::vector<Synapse>& mutable_synapses() noexcept { return synapses_; }
 
   /// Group owning a neuron id (linear in group count; groups are few).
@@ -140,8 +142,9 @@ class Network {
   /// Maintained incrementally by add_synapse, so this is O(1).
   std::uint16_t max_delay_steps() const noexcept { return max_delay_steps_; }
 
-  /// CSR-style fan-out index: synapse indices ordered by pre neuron.
-  /// Built lazily; invalidated by any further synapse addition.
+  /// CSR-style fan-out index: synapse indices ordered by pre neuron, in
+  /// synapse-list order within each pre.  Built lazily; rebuilt after
+  /// add_synapse or when the neuron or synapse count has changed since.
   const std::vector<std::uint32_t>& fanout_offsets() const;
   const std::vector<std::uint32_t>& fanout_synapses() const;
 
@@ -149,6 +152,7 @@ class Network {
   GroupId add_group(Group g);
   void check_group(GroupId g) const;
   void invalidate_index() noexcept { index_built_ = false; }
+  bool index_stale() const noexcept;
   void build_index() const;
 
   std::vector<Group> groups_;

@@ -5,6 +5,9 @@
 #include <set>
 #include <stdexcept>
 
+#include "snn/graph.hpp"
+#include "snn/simulator.hpp"
+
 namespace snnmap::snn {
 namespace {
 
@@ -188,6 +191,34 @@ TEST(Network, FanoutIndexInvalidatedByNewSynapse) {
   EXPECT_EQ(net.fanout_offsets()[1], 1u);
   net.add_synapse(0, 2, 1.0);
   EXPECT_EQ(net.fanout_offsets()[1], 2u);  // rebuilt
+}
+
+TEST(Network, FanoutIndexFollowsSynapsesAppendedAfterASimulator) {
+  Network net;
+  net.add_poisson_group("in", 1, 500.0);
+  net.add_lif_group("out", 2);
+  net.add_synapse(0, 1, 50.0);
+  SimulationConfig cfg;
+  cfg.duration_ms = 50.0;
+  { Simulator first(net, cfg); }  // builds the fan-out index
+  // Appended directly, bypassing add_synapse.
+  Synapse extra;
+  extra.pre = 0;
+  extra.post = 2;
+  extra.weight = 50.0F;
+  net.mutable_synapses().push_back(extra);
+  ASSERT_EQ(net.fanout_synapses().size(), 2u);
+  EXPECT_EQ(net.fanout_offsets()[1], 2u);
+
+  Simulator second(net, cfg);
+  const auto result = second.run();
+  ASSERT_FALSE(result.spikes[0].empty());
+  EXPECT_FALSE(result.spikes[2].empty());  // the appended synapse delivered
+  const auto graph = SnnGraph::from_simulation(net, result);
+  ASSERT_EQ(graph.edge_count(), 2u);
+  EXPECT_EQ(graph.edges()[1].pre, 0u);
+  EXPECT_EQ(graph.edges()[1].post, 2u);
+  EXPECT_FLOAT_EQ(graph.edges()[1].weight, 50.0F);
 }
 
 TEST(Network, RateFunctionOnlyOnPoissonGroups) {
