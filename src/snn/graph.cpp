@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <fstream>
+#include <functional>
 #include <istream>
-#include <map>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -12,19 +12,47 @@ namespace snnmap::snn {
 
 SnnGraph SnnGraph::from_simulation(const Network& network,
                                    const SimulationResult& result) {
-  if (result.spikes.size() != network.neuron_count()) {
+  const std::uint32_t n = network.neuron_count();
+  if (result.spikes.size() != n) {
     throw std::invalid_argument(
         "SnnGraph: simulation result does not match network size");
   }
   // Collapse parallel synapses; traffic depends only on (pre, post) pairs.
-  std::map<std::pair<NeuronId, NeuronId>, double> collapsed;
-  for (const auto& s : network.synapses()) {
-    collapsed[{s.pre, s.post}] += static_cast<double>(s.weight);
-  }
+  // The network's fan-out index lists each pre neuron's synapses in list
+  // order, so a pair's weights are summed in that order.  slot[post] points
+  // into `row`, the current pre neuron's distinct edges; a stale slot from
+  // an earlier pre fails the row[i].post == post check.
+  const auto& offsets = network.fanout_offsets();
+  const auto& order = network.fanout_synapses();
+  const auto& synapses = network.synapses();
+  struct RowEdge {
+    NeuronId post;
+    double weight;
+  };
+  std::vector<RowEdge> row;
+  std::vector<std::uint32_t> slot(n, 0);
   std::vector<GraphEdge> edges;
-  edges.reserve(collapsed.size());
-  for (const auto& [key, w] : collapsed) {
-    edges.push_back({key.first, key.second, static_cast<float>(w)});
+  edges.reserve(synapses.size());
+  for (NeuronId pre = 0; pre < n; ++pre) {
+    row.clear();
+    for (std::uint32_t k = offsets[pre]; k < offsets[pre + 1]; ++k) {
+      const Synapse& s = synapses[order[k]];
+      std::uint32_t& i = slot[s.post];
+      if (i >= row.size() || row[i].post != s.post) {
+        i = static_cast<std::uint32_t>(row.size());
+        row.push_back({s.post, 0.0});
+      }
+      row[i].weight += static_cast<double>(s.weight);
+    }
+    const auto by_post = [](const RowEdge& a, const RowEdge& b) {
+      return a.post < b.post;
+    };
+    if (!std::is_sorted(row.begin(), row.end(), by_post)) {
+      std::sort(row.begin(), row.end(), by_post);
+    }
+    for (const RowEdge& e : row) {
+      edges.push_back({pre, e.post, static_cast<float>(e.weight)});
+    }
   }
   std::vector<std::string> names;
   std::vector<std::uint32_t> firsts;
@@ -32,9 +60,9 @@ SnnGraph SnnGraph::from_simulation(const Network& network,
     names.push_back(g.name);
     firsts.push_back(g.first);
   }
-  firsts.push_back(network.neuron_count());
-  return from_parts(network.neuron_count(), std::move(edges), result.spikes,
-                    result.duration_ms, std::move(names), std::move(firsts));
+  firsts.push_back(n);
+  return from_parts(n, std::move(edges), result.spikes, result.duration_ms,
+                    std::move(names), std::move(firsts));
 }
 
 SnnGraph SnnGraph::from_parts(std::uint32_t neuron_count,
@@ -80,22 +108,34 @@ void SnnGraph::validate() const {
 }
 
 void SnnGraph::build_fanout() {
-  // Distinct (pre -> post) targets, CSR over pre.
-  std::vector<std::pair<NeuronId, NeuronId>> pairs;
-  pairs.reserve(edges_.size());
-  for (const auto& e : edges_) pairs.emplace_back(e.pre, e.post);
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-
+  // Distinct (pre -> post) targets, CSR over pre: bucket the edges by pre
+  // (counting sort), then sort and dedupe each bucket, compacting in place.
   fanout_offsets_.assign(neuron_count_ + 1, 0);
-  for (const auto& [pre, post] : pairs) ++fanout_offsets_[pre + 1];
+  for (const auto& e : edges_) ++fanout_offsets_[e.pre + 1];
   for (std::size_t i = 1; i < fanout_offsets_.size(); ++i) {
     fanout_offsets_[i] += fanout_offsets_[i - 1];
   }
-  fanout_targets_.resize(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    fanout_targets_[i] = pairs[i].second;  // pairs already sorted by pre
+  fanout_targets_.resize(edges_.size());
+  std::vector<std::uint32_t> cursor(fanout_offsets_.begin(),
+                                    fanout_offsets_.end() - 1);
+  for (const auto& e : edges_) fanout_targets_[cursor[e.pre]++] = e.post;
+
+  const auto targets = fanout_targets_.begin();
+  std::uint32_t kept = 0;
+  for (std::uint32_t pre = 0; pre < neuron_count_; ++pre) {
+    const auto begin = targets + fanout_offsets_[pre];
+    auto end = targets + fanout_offsets_[pre + 1];
+    // Buckets that are already strictly increasing (all of them when the
+    // edges come from from_simulation) need no sort and hold no duplicates.
+    if (std::adjacent_find(begin, end, std::greater_equal<>()) != end) {
+      std::sort(begin, end);
+      end = std::unique(begin, end);
+    }
+    fanout_offsets_[pre] = kept;
+    for (auto it = begin; it != end; ++it) targets[kept++] = *it;
   }
+  fanout_offsets_[neuron_count_] = kept;
+  fanout_targets_.resize(kept);
 }
 
 double SnnGraph::mean_rate_hz() const noexcept {

@@ -35,7 +35,11 @@ class SnnGraph {
 
   /// Builds from a network and the simulation that exercised it.
   /// Parallel synapses between the same (pre, post) pair are collapsed into
-  /// one edge (their weights summed); traffic is per pre-neuron spike anyway.
+  /// one edge; traffic is per pre-neuron spike anyway.  The edge's weight is
+  /// the double sum, from 0.0, of the pair's synapse weights in synapse-list
+  /// order, narrowed to float.  Edges come out in (pre, post) order.  Linear
+  /// in synapses (plus a sort of any pre neuron's edges that the network
+  /// lists out of post order): it walks the network's own fan-out index.
   static SnnGraph from_simulation(const Network& network,
                                   const SimulationResult& result);
 
@@ -59,7 +63,8 @@ class SnnGraph {
   std::uint64_t spike_count(NeuronId i) const { return spikes_.at(i).size(); }
   std::uint64_t total_spikes() const noexcept { return total_spikes_; }
 
-  /// Distinct post-synaptic neurons per pre neuron (CSR).
+  /// Distinct post-synaptic neurons per pre neuron (CSR), ascending; built
+  /// from any edge list, unsorted or with repeated pairs.
   const std::vector<std::uint32_t>& fanout_offsets() const noexcept {
     return fanout_offsets_;
   }
