@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the framework's hot paths: fitness
-// evaluation (Eq. 8), incremental move deltas, PSO iterations, SNN
-// simulation steps, NoC cycle throughput, and AER codec round-trips.
+// evaluation (Eq. 8), incremental move deltas, PSO iterations, and AER
+// codec round-trips.  SNN steps, graph extraction and the NoC are timed by
+// the gated suites (snn_sim_benchmarks, noc_sim_benchmarks).
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -13,9 +14,6 @@
 #include "core/pacman.hpp"
 #include "core/pso.hpp"
 #include "noc/aer.hpp"
-#include "noc/simulator.hpp"
-#include "snn/network.hpp"
-#include "snn/simulator.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -116,49 +114,6 @@ void BM_PsoIteration(benchmark::State& state) {
 }
 BENCHMARK(BM_PsoIteration)->Arg(10)->Arg(50);
 
-void BM_SnnSimulationStep(benchmark::State& state) {
-  snn::Network net;
-  util::Rng rng(1);
-  const auto in = net.add_poisson_group("in", 10, 50.0);
-  const auto layer = net.add_lif_group(
-      "layer", static_cast<std::uint32_t>(state.range(0)));
-  net.connect_full(in, layer, snn::WeightSpec::fixed(12.0), rng);
-  snn::SimulationConfig config;
-  snn::Simulator sim(net, config);
-  for (auto _ : state) {
-    sim.step();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_SnnSimulationStep)->Arg(200)->Arg(1000);
-
-void BM_NocCycleThroughput(benchmark::State& state) {
-  // Steady random traffic on a 4x4 mesh; measures delivered copies/sec.
-  util::Rng rng(7);
-  std::vector<noc::SpikePacketEvent> traffic;
-  for (int i = 0; i < 5000; ++i) {
-    noc::SpikePacketEvent ev;
-    ev.emit_cycle = static_cast<std::uint64_t>(i / 4);
-    ev.source_neuron = static_cast<std::uint32_t>(rng.below(256));
-    ev.source_tile = static_cast<noc::TileId>(rng.below(16));
-    noc::TileId dest;
-    do {
-      dest = static_cast<noc::TileId>(rng.below(16));
-    } while (dest == ev.source_tile);
-    ev.dest_tiles = {dest};
-    traffic.push_back(std::move(ev));
-  }
-  for (auto _ : state) {
-    noc::NocSimulator sim(noc::Topology::mesh(4, 4), noc::NocConfig{});
-    const auto result = sim.run(traffic);
-    benchmark::DoNotOptimize(result.stats.copies_delivered);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          5000);
-}
-BENCHMARK(BM_NocCycleThroughput);
-
 void BM_AerCodec(benchmark::State& state) {
   util::Rng rng(11);
   std::uint32_t i = 0;
@@ -171,22 +126,5 @@ void BM_AerCodec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AerCodec);
-
-void BM_GraphExtraction(benchmark::State& state) {
-  snn::Network net;
-  util::Rng rng(1);
-  const auto in = net.add_poisson_group("in", 10, 60.0);
-  const auto layer = net.add_lif_group("layer", 200);
-  net.connect_full(in, layer, snn::WeightSpec::fixed(12.0), rng);
-  snn::SimulationConfig config;
-  config.duration_ms = 100.0;
-  snn::Simulator sim(net, config);
-  const auto result = sim.run();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        snn::SnnGraph::from_simulation(net, result).edge_count());
-  }
-}
-BENCHMARK(BM_GraphExtraction);
 
 }  // namespace

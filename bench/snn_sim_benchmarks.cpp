@@ -11,14 +11,18 @@
 //  * a 3-layer LIF feedforward stack (the synthetic workload family),
 //  * STDP training on plastic afferents (Diehl & Cook shape),
 //  * exponential synapses (temporal summation path),
-//  * a multi-seed batch sweep through core::BatchSnnEvaluator.
+//  * a multi-seed batch sweep through core::BatchSnnEvaluator,
+//  * spike-graph extraction (Fig. 4 step 2) on synthetic 4x500, 755k
+//    synapses (items/sec = synapses/sec).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "apps/synthetic.hpp"
 #include "core/batch_eval.hpp"
+#include "snn/graph.hpp"
 #include "snn/network.hpp"
 #include "snn/simulator.hpp"
 #include "util/rng.hpp"
@@ -189,5 +193,25 @@ void BM_BatchSnnEvaluator_MultiSeed(benchmark::State& state) {
       static_cast<double>(spikes), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_BatchSnnEvaluator_MultiSeed)->Arg(1)->Arg(0);
+
+void BM_GraphExtraction(benchmark::State& state) {
+  // The synthetic 4x500 network simulated once; each iteration turns it
+  // into the spike graph G = (A, S), collapsing parallel synapses and
+  // building the fan-out CSR.
+  apps::SyntheticConfig synthetic;
+  synthetic.layers = 4;
+  synthetic.neurons_per_layer = 500;
+  synthetic.seed = 42;
+  static snn::Network net = apps::build_synthetic_network(synthetic);
+  static const snn::SimulationResult result =
+      snn::Simulator(net, apps::synthetic_sim_config(synthetic)).run();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        snn::SnnGraph::from_simulation(net, result).edge_count());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(net.synapses().size()));
+}
+BENCHMARK(BM_GraphExtraction);
 
 }  // namespace
