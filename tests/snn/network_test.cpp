@@ -219,6 +219,11 @@ TEST(Network, FanoutIndexFollowsSynapsesAppendedAfterASimulator) {
   EXPECT_EQ(graph.edges()[1].pre, 0u);
   EXPECT_EQ(graph.edges()[1].post, 2u);
   EXPECT_FLOAT_EQ(graph.edges()[1].weight, 50.0F);
+
+  // A group declared after the index was built widens it too.
+  net.add_lif_group("late", 3);
+  EXPECT_EQ(net.fanout_offsets().size(), net.neuron_count() + 1u);
+  EXPECT_EQ(net.fanout_offsets().back(), 2u);
 }
 
 TEST(Network, RateFunctionOnlyOnPoissonGroups) {
