@@ -21,7 +21,8 @@
 namespace snnmap::bench {
 
 /// True when SNNMAP_BENCH_QUICK is set: harnesses shrink swarm sizes and
-/// workload durations so the full suite runs in seconds (used in CI).
+/// workload durations so the full suite runs in seconds (CTest runs
+/// table2_metrics, fig5_energy and fig7_swarm_size this way).
 inline bool quick_mode() {
   const char* v = std::getenv("SNNMAP_BENCH_QUICK");
   return v != nullptr && std::string(v) != "0";

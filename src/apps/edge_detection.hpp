@@ -28,6 +28,8 @@ struct EdgeDetectionConfig {
   double max_rate_hz = 80.0;
 };
 
+// snnmap-lint: allow(test-only-api) -- the one-call graph form every app
+// header offers; the registry composes the _network and _sim_config halves.
 snn::SnnGraph build_edge_detection(const EdgeDetectionConfig& config = {});
 
 /// The network the graph builder simulates (closed-loop co-simulation

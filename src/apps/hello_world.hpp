@@ -19,6 +19,8 @@ struct HelloWorldConfig {
 };
 
 /// Builds, simulates and extracts the spike graph.
+// snnmap-lint: allow(test-only-api) -- the one-call graph form every app
+// header offers; the registry composes the _network and _sim_config halves.
 snn::SnnGraph build_hello_world(const HelloWorldConfig& config = {});
 
 /// The network the graph builder simulates (closed-loop co-simulation

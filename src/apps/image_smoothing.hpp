@@ -28,6 +28,8 @@ struct ImageSmoothingConfig {
 std::vector<double> make_test_image(std::uint32_t width, std::uint32_t height,
                                     std::uint64_t seed);
 
+// snnmap-lint: allow(test-only-api) -- the one-call graph form every app
+// header offers; the registry composes the _network and _sim_config halves.
 snn::SnnGraph build_image_smoothing(const ImageSmoothingConfig& config = {});
 
 /// The network the graph builder simulates (closed-loop co-simulation

@@ -1,6 +1,9 @@
 #include "apps/synthetic.hpp"
 
+#include <charconv>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 #include "snn/network.hpp"
 #include "snn/simulator.hpp"
@@ -63,19 +66,19 @@ snn::SnnGraph build_synthetic(const SyntheticConfig& config) {
 }
 
 SyntheticConfig parse_synthetic_name(const std::string& name) {
-  std::string body = name;
-  if (body.rfind("synth_", 0) == 0) body = body.substr(6);
+  std::string_view body = name;
+  if (body.starts_with("synth_")) body.remove_prefix(6);
+  // Each side must be a whole unsigned decimal that fits in 32 bits: no
+  // sign, no whitespace, no trailing characters, no wrap-around.
+  const auto parse = [](std::string_view digits, std::uint32_t& out) {
+    const char* last = digits.data() + digits.size();
+    const auto [ptr, ec] = std::from_chars(digits.data(), last, out);
+    return ec == std::errc{} && ptr == last;
+  };
   const auto x = body.find('x');
-  if (x == std::string::npos || x == 0 || x + 1 >= body.size()) {
-    throw std::invalid_argument("parse_synthetic_name: expected MxN, got '" +
-                                name + "'");
-  }
   SyntheticConfig config;
-  try {
-    config.layers = static_cast<std::uint32_t>(std::stoul(body.substr(0, x)));
-    config.neurons_per_layer =
-        static_cast<std::uint32_t>(std::stoul(body.substr(x + 1)));
-  } catch (const std::exception&) {
+  if (x == std::string_view::npos || !parse(body.substr(0, x), config.layers) ||
+      !parse(body.substr(x + 1), config.neurons_per_layer)) {
     throw std::invalid_argument("parse_synthetic_name: expected MxN, got '" +
                                 name + "'");
   }

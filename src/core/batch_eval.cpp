@@ -116,31 +116,6 @@ std::vector<CoSimOutcome> BatchCoSimEvaluator::run_dvfs_sweep(
   return run_all(std::move(scenarios));
 }
 
-std::vector<CoSimOutcome> BatchCoSimEvaluator::run_seeds(
-    const CoSimScenario& base, const std::vector<std::uint64_t>& seeds) {
-  std::vector<CoSimScenario> scenarios;
-  scenarios.reserve(seeds.size());
-  for (const std::uint64_t seed : seeds) {
-    CoSimScenario sc = base;
-    sc.config.snn.seed = seed;
-    scenarios.push_back(std::move(sc));
-  }
-  return run_all(std::move(scenarios));
-}
-
-std::vector<CoSimOutcome> BatchCoSimEvaluator::run_fault_sweep(
-    const CoSimScenario& base,
-    const std::vector<noc::FaultConfig>& fault_configs) {
-  std::vector<CoSimScenario> scenarios;
-  scenarios.reserve(fault_configs.size());
-  for (const noc::FaultConfig& faults : fault_configs) {
-    CoSimScenario sc = base;
-    sc.config.noc.faults = faults;
-    scenarios.push_back(std::move(sc));
-  }
-  return run_all(std::move(scenarios));
-}
-
 std::vector<SnnRunResult> BatchSnnEvaluator::run_seeds(
     std::function<snn::Network()> build, snn::SimulationConfig config,
     const std::vector<std::uint64_t>& seeds) {

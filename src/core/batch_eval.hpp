@@ -201,18 +201,6 @@ class BatchCoSimEvaluator {
       const CoSimScenario& base,
       const std::vector<cosim::DvfsPolicy>& policies);
 
-  /// Multi-seed sweep: one run of `base` per SNN seed.
-  std::vector<CoSimOutcome> run_seeds(const CoSimScenario& base,
-                                      const std::vector<std::uint64_t>& seeds);
-
-  /// Resilience sweep: one run of `base` per fault configuration (the
-  /// degradation-vs-fault-intensity axis); results[i] corresponds to
-  /// fault_configs[i].  An all-default FaultConfig entry yields the
-  /// fault-free baseline inside the same batch.
-  std::vector<CoSimOutcome> run_fault_sweep(
-      const CoSimScenario& base,
-      const std::vector<noc::FaultConfig>& fault_configs);
-
  private:
   util::ThreadPool pool_;
 };

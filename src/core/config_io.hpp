@@ -53,6 +53,8 @@ cosim::CoSimConfig cosim_from_config(const util::Config& config,
                                      cosim::CoSimConfig base = {});
 
 /// Serializes the co-sim scalars (round-trips via cosim_from_config).
+// snnmap-lint: allow(test-only-api) -- the writer half of the cosim key
+// table; the ConfigIo round-trip tests pin the table's schema through it.
 void cosim_to_config(const cosim::CoSimConfig& cosim, util::Config& config);
 
 }  // namespace snnmap::core

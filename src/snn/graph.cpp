@@ -1,11 +1,7 @@
 #include "snn/graph.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <functional>
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 namespace snnmap::snn {
@@ -142,77 +138,6 @@ double SnnGraph::mean_rate_hz() const noexcept {
   if (neuron_count_ == 0 || duration_ms_ <= 0.0) return 0.0;
   return static_cast<double>(total_spikes_) /
          static_cast<double>(neuron_count_) / duration_ms_ * 1000.0;
-}
-
-void SnnGraph::save(std::ostream& out) const {
-  out << "snngraph 1\n";
-  out << neuron_count_ << ' ' << edges_.size() << ' ' << duration_ms_ << '\n';
-  out << group_names_.size() << '\n';
-  for (std::size_t g = 0; g < group_names_.size(); ++g) {
-    out << group_first_[g] << ' ' << group_names_[g] << '\n';
-  }
-  for (const auto& e : edges_) {
-    out << e.pre << ' ' << e.post << ' ' << e.weight << '\n';
-  }
-  for (const auto& train : spikes_) {
-    out << train.size();
-    for (double t : train) out << ' ' << t;
-    out << '\n';
-  }
-}
-
-SnnGraph SnnGraph::load(std::istream& in) {
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != "snngraph" || version != 1) {
-    throw std::runtime_error("SnnGraph: bad header");
-  }
-  std::uint32_t n = 0;
-  std::size_t e = 0;
-  TimeMs duration = 0.0;
-  if (!(in >> n >> e >> duration)) {
-    throw std::runtime_error("SnnGraph: bad size line");
-  }
-  std::size_t ngroups = 0;
-  in >> ngroups;
-  std::vector<std::string> names(ngroups);
-  std::vector<std::uint32_t> firsts(ngroups);
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    in >> firsts[g];
-    in >> std::ws;
-    std::getline(in, names[g]);
-  }
-  if (ngroups) firsts.push_back(n);
-  std::vector<GraphEdge> edges(e);
-  for (auto& edge : edges) {
-    if (!(in >> edge.pre >> edge.post >> edge.weight)) {
-      throw std::runtime_error("SnnGraph: truncated edge list");
-    }
-  }
-  std::vector<SpikeTrain> trains(n);
-  for (auto& train : trains) {
-    std::size_t count = 0;
-    if (!(in >> count)) throw std::runtime_error("SnnGraph: truncated trains");
-    train.resize(count);
-    for (auto& t : train) {
-      if (!(in >> t)) throw std::runtime_error("SnnGraph: truncated train");
-    }
-  }
-  return from_parts(n, std::move(edges), std::move(trains), duration,
-                    std::move(names), std::move(firsts));
-}
-
-void SnnGraph::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("SnnGraph: cannot open " + path);
-  save(out);
-  if (!out) throw std::runtime_error("SnnGraph: write failed for " + path);
-}
-
-SnnGraph SnnGraph::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("SnnGraph: cannot open " + path);
-  return load(in);
 }
 
 }  // namespace snnmap::snn

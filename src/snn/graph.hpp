@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -88,12 +87,6 @@ class SnnGraph {
 
   /// Mean firing rate over all neurons in Hz.
   double mean_rate_hz() const noexcept;
-
-  /// Plain-text serialization (round-trips via load); versioned header.
-  void save(std::ostream& out) const;
-  static SnnGraph load(std::istream& in);
-  void save_file(const std::string& path) const;
-  static SnnGraph load_file(const std::string& path);
 
  private:
   void build_fanout();

@@ -33,15 +33,4 @@ inline double poisson_step_probability(double rate_hz, double dt_ms) noexcept {
 /// source consumes nothing from the stream.
 bool poisson_step_spike(double rate_hz, double dt_ms, util::Rng& rng);
 
-/// Inhomogeneous Poisson train driven by a rate envelope sampled at dt_ms.
-template <typename RateFn>
-SpikeTrain generate_inhomogeneous_train(RateFn&& rate_hz_at, TimeMs duration_ms,
-                                        double dt_ms, util::Rng& rng) {
-  SpikeTrain train;
-  for (TimeMs t = 0.0; t < duration_ms; t += dt_ms) {
-    if (poisson_step_spike(rate_hz_at(t), dt_ms, rng)) train.push_back(t);
-  }
-  return train;
-}
-
 }  // namespace snnmap::snn

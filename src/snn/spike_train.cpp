@@ -1,9 +1,7 @@
 #include "snn/spike_train.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "util/stats.hpp"
+#include <iterator>
 
 namespace snnmap::snn {
 
@@ -26,34 +24,9 @@ std::vector<SpikeTrain> trains_from_events(
   return trains;
 }
 
-std::vector<double> inter_spike_intervals(const SpikeTrain& train) {
-  std::vector<double> isis;
-  if (train.size() < 2) return isis;
-  isis.reserve(train.size() - 1);
-  for (std::size_t i = 1; i < train.size(); ++i) {
-    isis.push_back(train[i] - train[i - 1]);
-  }
-  return isis;
-}
-
 double mean_rate_hz(const SpikeTrain& train, TimeMs duration_ms) {
   if (duration_ms <= 0.0) return 0.0;
   return static_cast<double>(train.size()) / duration_ms * 1000.0;
-}
-
-std::size_t spikes_in_window(const SpikeTrain& train, TimeMs t0, TimeMs t1) {
-  const auto lo = std::lower_bound(train.begin(), train.end(), t0);
-  const auto hi = std::lower_bound(train.begin(), train.end(), t1);
-  return static_cast<std::size_t>(hi - lo);
-}
-
-double isi_coefficient_of_variation(const SpikeTrain& train) {
-  const auto isis = inter_spike_intervals(train);
-  if (isis.size() < 2) return 0.0;
-  util::Accumulator acc;
-  for (double isi : isis) acc.add(isi);
-  if (acc.mean() <= 0.0) return 0.0;
-  return acc.stddev() / acc.mean();
 }
 
 SpikeTrain merge_trains(const SpikeTrain& a, const SpikeTrain& b) {
@@ -61,10 +34,6 @@ SpikeTrain merge_trains(const SpikeTrain& a, const SpikeTrain& b) {
   out.reserve(a.size() + b.size());
   std::merge(a.begin(), a.end(), b.begin(), b.end(), std::back_inserter(out));
   return out;
-}
-
-std::size_t spike_count_distance(const SpikeTrain& a, const SpikeTrain& b) {
-  return a.size() > b.size() ? a.size() - b.size() : b.size() - a.size();
 }
 
 }  // namespace snnmap::snn

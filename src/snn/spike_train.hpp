@@ -1,7 +1,7 @@
-// Spike trains and inter-spike-interval (ISI) utilities.
+// Spike trains and the flat spike event log.
 //
 // A spike train is a monotonically non-decreasing sequence of spike times in
-// milliseconds.  ISI statistics are central to the paper: the heartbeat
+// milliseconds.  Spike timing is central to the paper: the heartbeat
 // estimation app is temporally coded, and one of the two introduced metrics
 // (ISI distortion, Sec. II) compares source and destination ISIs.
 #pragma once
@@ -36,25 +36,10 @@ std::vector<SpikeTrain> trains_from_events(std::size_t neuron_count,
 /// True if times are sorted (non-decreasing) and non-negative.
 bool is_valid_train(const SpikeTrain& train);
 
-/// Consecutive inter-spike intervals; empty for fewer than two spikes.
-std::vector<double> inter_spike_intervals(const SpikeTrain& train);
-
 /// Mean firing rate in Hz over [0, duration_ms]; 0 for an empty window.
 double mean_rate_hz(const SpikeTrain& train, TimeMs duration_ms);
 
-/// Number of spikes in the half-open window [t0, t1).
-std::size_t spikes_in_window(const SpikeTrain& train, TimeMs t0, TimeMs t1);
-
-/// Coefficient of variation of the ISIs (stddev/mean); 0 when undefined.
-/// CV ~= 1 characterizes Poisson firing; the workload generators are
-/// validated against this in the property tests.
-double isi_coefficient_of_variation(const SpikeTrain& train);
-
 /// Merges two sorted trains into one sorted train.
 SpikeTrain merge_trains(const SpikeTrain& a, const SpikeTrain& b);
-
-/// Victor-Purpura-style spike count distance: |count(a) - count(b)|.
-/// Used as a cheap train-similarity check in tests.
-std::size_t spike_count_distance(const SpikeTrain& a, const SpikeTrain& b);
 
 }  // namespace snnmap::snn

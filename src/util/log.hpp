@@ -26,13 +26,6 @@ std::string concat(Args&&... args) {
 }  // namespace detail
 
 template <typename... Args>
-void log_debug(Args&&... args) {
-  if (log_level() <= LogLevel::Debug) {
-    log_message(LogLevel::Debug, detail::concat(std::forward<Args>(args)...));
-  }
-}
-
-template <typename... Args>
 void log_info(Args&&... args) {
   if (log_level() <= LogLevel::Info) {
     log_message(LogLevel::Info, detail::concat(std::forward<Args>(args)...));
@@ -43,13 +36,6 @@ template <typename... Args>
 void log_warn(Args&&... args) {
   if (log_level() <= LogLevel::Warn) {
     log_message(LogLevel::Warn, detail::concat(std::forward<Args>(args)...));
-  }
-}
-
-template <typename... Args>
-void log_error(Args&&... args) {
-  if (log_level() <= LogLevel::Error) {
-    log_message(LogLevel::Error, detail::concat(std::forward<Args>(args)...));
   }
 }
 

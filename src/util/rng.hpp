@@ -94,9 +94,6 @@ class Rng {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t range(std::int64_t lo, std::int64_t hi) noexcept;
-
   /// Bernoulli trial with success probability p.
   bool chance(double p) noexcept;
 
@@ -108,10 +105,6 @@ class Rng {
 
   /// Exponential deviate with the given rate (lambda), i.e. mean 1/lambda.
   double exponential(double rate) noexcept;
-
-  /// Poisson-distributed count with the given mean.  Uses Knuth's method for
-  /// small means and normal approximation (rounded, clamped at 0) for large.
-  std::uint64_t poisson(double mean) noexcept;
 
   /// Fisher-Yates shuffle of a vector in place.
   template <typename T>

@@ -7,26 +7,6 @@
 
 namespace snnmap::util {
 
-void Accumulator::merge(const Accumulator& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const std::size_t total = n_ + other.n_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                         static_cast<double>(other.n_) /
-                         static_cast<double>(total);
-  mean_ = (mean_ * static_cast<double>(n_) +
-           other.mean_ * static_cast<double>(other.n_)) /
-          static_cast<double>(total);
-  sum_ += other.sum_;
-  n_ = total;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double Accumulator::mean() const noexcept { return n_ ? mean_ : 0.0; }
 
 double Accumulator::variance() const noexcept {
@@ -34,29 +14,6 @@ double Accumulator::variance() const noexcept {
 }
 
 double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
-
-double percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] + frac * (values[hi] - values[lo]);
-}
-
-double mean_of(const std::vector<double>& values) {
-  Accumulator acc;
-  for (double v : values) acc.add(v);
-  return acc.mean();
-}
-
-double stddev_of(const std::vector<double>& values) {
-  Accumulator acc;
-  for (double v : values) acc.add(v);
-  return acc.stddev();
-}
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0) {

@@ -1,5 +1,5 @@
 // Lightweight descriptive statistics used by the metric collectors and the
-// benchmark harnesses (means, percentiles, histograms, online accumulators).
+// benchmark harnesses (online accumulators, fixed-bin histograms).
 #pragma once
 
 #include <cstddef>
@@ -11,7 +11,7 @@
 namespace snnmap::util {
 
 /// Online accumulator for mean/variance/min/max (Welford's algorithm).
-/// Safe to merge; numerically stable for long runs.
+/// Numerically stable for long runs.
 class Accumulator {
  public:
   /// Inline: called once per delivered packet copy in the NoC cycle loop.
@@ -24,7 +24,6 @@ class Accumulator {
     min_ = x < min_ ? x : min_;
     max_ = x > max_ ? x : max_;
   }
-  void merge(const Accumulator& other) noexcept;
 
   std::size_t count() const noexcept { return n_; }
   bool empty() const noexcept { return n_ == 0; }
@@ -45,16 +44,6 @@ class Accumulator {
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
 };
-
-/// Percentile with linear interpolation; `p` in [0, 100].
-/// The input is copied and sorted; 0 is returned for empty input.
-double percentile(std::vector<double> values, double p);
-
-/// Arithmetic mean; 0 for empty input.
-double mean_of(const std::vector<double>& values);
-
-/// Sample standard deviation; 0 for fewer than two observations.
-double stddev_of(const std::vector<double>& values);
 
 /// Fixed-bin histogram over [lo, hi); values outside are clamped into the
 /// first/last bin so nothing is silently dropped.

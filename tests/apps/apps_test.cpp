@@ -251,6 +251,11 @@ TEST(Synthetic, NameParsing) {
   EXPECT_THROW(parse_synthetic_name("x5"), std::invalid_argument);
   EXPECT_THROW(parse_synthetic_name("5x"), std::invalid_argument);
   EXPECT_THROW(parse_synthetic_name("0x5"), std::invalid_argument);
+  EXPECT_THROW(parse_synthetic_name("4294967297x200"), std::invalid_argument);
+  EXPECT_THROW(parse_synthetic_name("-1x3"), std::invalid_argument);
+  EXPECT_THROW(parse_synthetic_name("2x200junk"), std::invalid_argument);
+  EXPECT_THROW(parse_synthetic_name("2x+5"), std::invalid_argument);
+  EXPECT_THROW(parse_synthetic_name(" 2x 5"), std::invalid_argument);
 }
 
 TEST(Synthetic, RejectsEmptyTopology) {

@@ -492,7 +492,7 @@ TEST(Determinism, FaultedBatchCoSimIndependentOfSubmissionOrder) {
 }
 
 TEST(Determinism, FaultSweepMatchesStandaloneRuns) {
-  // run_fault_sweep overlays each FaultConfig onto the base scenario; every
+  // One batch of the base scenario under three FaultConfig overlays: every
   // slot must be bit-identical to a standalone run with the same overlay,
   // and the all-default entry is the fault-free baseline.
   auto scenarios = batch_cosim_scenarios();
@@ -506,8 +506,14 @@ TEST(Determinism, FaultSweepMatchesStandaloneRuns) {
   sweep[2].transient_link_rate = 0.4;
   sweep[2].transient_duration_cycles = 128;
 
+  std::vector<CoSimScenario> overlaid;
+  for (const noc::FaultConfig& faults : sweep) {
+    CoSimScenario sc = base;
+    sc.config.noc.faults = faults;
+    overlaid.push_back(std::move(sc));
+  }
   BatchCoSimEvaluator evaluator(4);
-  const auto results = evaluator.run_fault_sweep(base, sweep);
+  const auto results = evaluator.run_all(std::move(overlaid));
   ASSERT_EQ(results.size(), sweep.size());
   EXPECT_FALSE(results[0].result.resilience.any());
   EXPECT_GT(results[1].result.resilience.noc_faults.flits_dropped, 0u);

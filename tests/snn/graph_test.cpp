@@ -6,7 +6,6 @@
 #include <bit>
 #include <cstdint>
 #include <map>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -231,33 +230,6 @@ TEST(SnnGraph, FromSimulationKeepsGroupAnnotations) {
   EXPECT_EQ(g.group_names()[0], "in");
   EXPECT_EQ(g.group_first()[1], 3u);
   EXPECT_EQ(g.group_first()[2], 5u);
-}
-
-TEST(SnnGraph, SaveLoadRoundTrip) {
-  const auto g = tiny_graph();
-  std::stringstream stream;
-  g.save(stream);
-  const auto loaded = SnnGraph::load(stream);
-  EXPECT_EQ(loaded.neuron_count(), g.neuron_count());
-  EXPECT_EQ(loaded.edge_count(), g.edge_count());
-  EXPECT_EQ(loaded.total_spikes(), g.total_spikes());
-  EXPECT_EQ(loaded.spike_train(0), g.spike_train(0));
-  EXPECT_DOUBLE_EQ(loaded.duration_ms(), g.duration_ms());
-  for (std::size_t i = 0; i < g.edge_count(); ++i) {
-    EXPECT_EQ(loaded.edges()[i].pre, g.edges()[i].pre);
-    EXPECT_EQ(loaded.edges()[i].post, g.edges()[i].post);
-    EXPECT_FLOAT_EQ(loaded.edges()[i].weight, g.edges()[i].weight);
-  }
-}
-
-TEST(SnnGraph, LoadRejectsBadHeader) {
-  std::stringstream stream("bogus 7\n");
-  EXPECT_THROW(SnnGraph::load(stream), std::runtime_error);
-}
-
-TEST(SnnGraph, LoadRejectsTruncated) {
-  std::stringstream stream("snngraph 1\n3 2 100\n0\n0 1 1.0\n");
-  EXPECT_THROW(SnnGraph::load(stream), std::runtime_error);
 }
 
 }  // namespace

@@ -37,61 +37,6 @@ TEST(Accumulator, KnownMoments) {
   EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
 }
 
-TEST(Accumulator, MergeMatchesSequential) {
-  Accumulator all, a, b;
-  for (int i = 0; i < 50; ++i) {
-    const double x = 0.37 * i - 3.0;
-    all.add(x);
-    (i % 2 ? a : b).add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(Accumulator, MergeWithEmptyIsIdentity) {
-  Accumulator a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  empty.merge(a);
-  EXPECT_DOUBLE_EQ(empty.mean(), 2.0);
-}
-
-TEST(Percentile, EmptyIsZero) { EXPECT_EQ(percentile({}, 50.0), 0.0); }
-
-TEST(Percentile, MedianAndExtremes) {
-  const std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50.0), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100.0), 5.0);
-}
-
-TEST(Percentile, Interpolates) {
-  const std::vector<double> v{0.0, 10.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 25.0), 2.5);
-  EXPECT_DOUBLE_EQ(percentile(v, 75.0), 7.5);
-}
-
-TEST(Percentile, ClampsOutOfRangeP) {
-  const std::vector<double> v{1.0, 2.0};
-  EXPECT_DOUBLE_EQ(percentile(v, -5.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 150.0), 2.0);
-}
-
-TEST(MeanStddev, Helpers) {
-  EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0}), 2.0);
-  EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
-  EXPECT_NEAR(stddev_of({2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}), 2.13809,
-              1e-4);
-  EXPECT_DOUBLE_EQ(stddev_of({1.0}), 0.0);
-}
-
 TEST(Histogram, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
   EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);

@@ -22,6 +22,13 @@ rules reject the *source patterns* that produce such bugs, at lint time:
                        equal the Google-Benchmark targets declared in
                        bench/CMakeLists.txt (a silently-unbuilt suite would
                        pass CI while its BENCH_*.json trajectory rots).
+  test-only-api        Every namespace-scope free function and class/struct
+                       a src/**/*.hpp declares must be named somewhere a
+                       program reaches it: in examples/, bench/ or
+                       perfbench/, or in src/ outside its own declaration
+                       and out-of-line definitions.  Code that only tests
+                       call is library weight no flow uses.  The check is
+                       by name; member functions are out of scope.
 
 Waivers: a finding is silenced by a justification comment on the flagged
 line or the line directly above it:
@@ -48,12 +55,13 @@ ALL_RULES = (
     "unordered-iteration",
     "hoisted-gate",
     "ci-bench-sync",
+    "test-only-api",
 )
 
 # Rules that walk every source file under src/ (src_files); only these need
 # the directory.  ci-bench-sync reads scripts/ and bench/.
 SRC_RULES = frozenset(("nondeterminism", "unordered-iteration",
-                       "hoisted-gate"))
+                       "hoisted-gate", "test-only-api"))
 
 WAIVER_RE = re.compile(
     r"(?://|#)\s*snnmap-lint:\s*allow\(([a-z-]+)\)\s*(?:--|—)\s*(\S.*)"
@@ -161,11 +169,12 @@ def line_of_offset(text, offset):
     return text.count("\n", 0, offset) + 1
 
 
+CPP_SUFFIXES = (".cpp", ".hpp", ".h")
+
+
 def src_files(repo):
     root = repo / "src"
-    return sorted(
-        p for p in root.rglob("*") if p.suffix in (".cpp", ".hpp", ".h")
-    )
+    return sorted(p for p in root.rglob("*") if p.suffix in CPP_SUFFIXES)
 
 
 def is_waived(waivers, line, rule):
@@ -437,12 +446,193 @@ def rule_ci_bench_sync(repo):
 
 
 # --------------------------------------------------------------------------
+# Rule: test-only-api
+# --------------------------------------------------------------------------
+
+# Trees whose programs count as callers besides src/ itself; tests/ does not.
+CALLER_DIRS = ("examples", "bench", "perfbench")
+
+NAMESPACE_HEADER_RE = re.compile(r"^(?:inline\s+)?namespace\b")
+CLASS_HEADER_RE = re.compile(r"^(?:class|struct)\s+(?:\[\[[^\]]*\]\]\s*)?"
+                             r"([A-Za-z_]\w*)")
+# The declarator of a function: an optionally qualified name followed by its
+# parameter list.  Group 1 is the qualifier chain ("Foo::" or empty).
+DECLARATOR_RE = re.compile(
+    r"((?:[A-Za-z_]\w*\s*::\s*)*)(~?[A-Za-z_]\w*)\s*\(")
+NOT_A_FUNCTION = ("using", "typedef", "static_assert", "friend", "enum",
+                  "concept", "extern")
+CPP_KEYWORDS = frozenset(("operator", "decltype", "alignas", "noexcept",
+                          "sizeof", "alignof", "requires", "return"))
+
+
+def blank_preprocessor(stripped):
+    """Blanks preprocessor lines (and their continuations) in stripped text,
+    so an #include cannot glue itself onto the declaration below it."""
+    out = []
+    continued = False
+    for line in stripped.split("\n"):
+        if continued or line.lstrip().startswith("#"):
+            continued = line.rstrip().endswith("\\")
+            out.append(" " * len(line))
+        else:
+            out.append(line)
+    return "\n".join(out)
+
+
+def matching_brace(text, open_idx):
+    """Index of the '}' that closes the '{' at open_idx (len(text) if none)."""
+    depth = 0
+    for i in range(open_idx, len(text)):
+        if text[i] == "{":
+            depth += 1
+        elif text[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return i
+    return len(text)
+
+
+def strip_template_prefix(header):
+    """Drops leading `template <...>` clauses and [[attributes]]."""
+    while True:
+        header = header.lstrip()
+        if header.startswith("[["):
+            end = header.find("]]")
+            if end < 0:
+                return header
+            header = header[end + 2:]
+        elif re.match(r"template\s*<", header):
+            end = balanced_angle_end(header, header.index("<"))
+            if end < 0:
+                return header
+            header = header[end:]
+        else:
+            return header
+
+
+def namespace_items(stripped):
+    """Yields (kind, name, qualifier, name_offset, start, end) for every
+    namespace-scope class definition ("class") and function declaration or
+    definition ("function") in stripped, preprocessor-free text.  [start,
+    end) spans the whole item, body included."""
+    i, n = 0, len(stripped)
+    stmt = 0
+    while i < n:
+        c = stripped[i]
+        if c == "}":  # closes a namespace block
+            stmt = i + 1
+        elif c == ";":
+            yield from classify_item(stripped, stmt, i, i + 1, has_body=False)
+            stmt = i + 1
+        elif c == "{":
+            header = stripped[stmt:i].strip()
+            if NAMESPACE_HEADER_RE.match(header) or header.startswith(
+                    "extern"):
+                stmt = i + 1
+            else:
+                close = matching_brace(stripped, i)
+                end = close + 1
+                tail = re.match(r"\s*;", stripped[end:])
+                if tail:
+                    end += tail.end()
+                yield from classify_item(stripped, stmt, i, end,
+                                         has_body=True)
+                stmt = i = end
+                continue
+        i += 1
+
+
+def classify_item(stripped, start, header_end, end, has_body):
+    raw_header = stripped[start:header_end]
+    header = strip_template_prefix(raw_header)
+    offset = start + (len(raw_header) - len(header))
+    if not header or header.split(None, 1)[0] in NOT_A_FUNCTION:
+        return
+    m = CLASS_HEADER_RE.match(header)
+    if m:
+        if has_body:
+            yield ("class", m.group(1), "", offset + m.start(1), start, end)
+        return
+    m = DECLARATOR_RE.search(header)
+    if not m or m.group(2).lstrip("~") in CPP_KEYWORDS:
+        return
+    before = header[:m.start()]
+    qualifier = re.sub(r"\s", "", m.group(1)).rstrip(":")
+    if "=" in before or (not before.strip() and not qualifier):
+        return
+    yield ("function", m.group(2), qualifier.split("::")[-1],
+           offset + m.start(2), start, end)
+
+
+def stripped_cpp(path):
+    return blank_preprocessor(strip_comments_and_strings(path.read_text()))
+
+
+def rule_test_only_api(repo):
+    sources = {p: stripped_cpp(p) for p in src_files(repo)}
+    items = {p: list(namespace_items(text)) for p, text in sources.items()}
+
+    callers = []
+    for sub in CALLER_DIRS:
+        root = repo / sub
+        if root.is_dir():
+            callers += [stripped_cpp(p) for p in sorted(root.rglob("*"))
+                        if p.suffix in CPP_SUFFIXES]
+
+    def own_spans(kind, name):
+        """Per file, the spans that declare or define `name` itself: its
+        declarations and definitions for a function; its body and its
+        out-of-line members for a class."""
+        spans = {}
+        for path, entries in items.items():
+            for k, nm, qual, _, start, end in entries:
+                if k == "function" and not qual:
+                    mine = kind == "function" and nm == name
+                else:  # a class body, or a `Class::member` definition
+                    mine = kind == "class" and (qual or nm) == name
+                if mine:
+                    spans.setdefault(path, []).append((start, end))
+        return spans
+
+    findings = []
+    for path in sorted(items):
+        if path.suffix != ".hpp":
+            continue
+        raw_lines = path.read_text().splitlines()
+        waivers, _ = scan_waivers(raw_lines)
+        rel = path.relative_to(repo)
+        reported = set()
+        for kind, name, qual, name_offset, _, _ in items[path]:
+            if qual or (kind, name) in reported:
+                continue
+            reported.add((kind, name))
+            word = re.compile(r"\b" + re.escape(name) + r"\b")
+            if any(word.search(text) for text in callers):
+                continue
+            spans = own_spans(kind, name)
+            if any(not any(s <= m.start() < e for s, e in spans.get(p, ()))
+                   for p, text in sources.items()
+                   for m in word.finditer(text)):
+                continue
+            lineno = line_of_offset(sources[path], name_offset)
+            if is_waived(waivers, lineno, "test-only-api"):
+                continue
+            findings.append(Finding(
+                rel, lineno, "test-only-api",
+                f"{kind} '{name}' has no caller outside tests/ (nothing in "
+                "src/, examples/, bench/ or perfbench/ names it); delete it "
+                "with its tests or waive with the reason it stays"))
+    return findings
+
+
+# --------------------------------------------------------------------------
 
 RULE_FNS = {
     "nondeterminism": rule_nondeterminism,
     "unordered-iteration": rule_unordered_iteration,
     "hoisted-gate": rule_hoisted_gate,
     "ci-bench-sync": rule_ci_bench_sync,
+    "test-only-api": rule_test_only_api,
 }
 
 

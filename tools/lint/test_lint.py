@@ -48,6 +48,13 @@ EXPECTATIONS = {
         "bench/CMakeLists.txt:4",  # beta_benchmarks never asserted
         "scripts/ci.sh:1",         # phantom_benchmarks has no target
     ]),
+    "test_only_bad": (["test-only-api"], 1, [
+        "src/lib/api.hpp:12",  # class used only by its own members and tests
+        "src/lib/api.hpp:20",  # free function only its definition names
+        "src/lib/api.hpp:26",  # template named only in a string literal
+        "src/lib/api.hpp:30",  # self-recursion is not a caller
+        "src/lib/api.hpp:33",  # the bare waiver does not silence it
+    ]),
 }
 
 
